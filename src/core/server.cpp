@@ -251,14 +251,6 @@ OracleDownload VisualPrintServer::oracle_snapshot(
   return store_->oracle_snapshot(place);
 }
 
-OracleDiff VisualPrintServer::oracle_diff_from(
-    std::span<const std::uint8_t> old_blob) const {
-  const PlaceShard& shard = default_builder();
-  const Bytes new_blob = shard.oracle.serialize();
-  // from_version is unknown to the server here; caller tracks versions.
-  return OracleDiff::make(old_blob, new_blob, 0, shard.oracle_version);
-}
-
 const UniquenessOracle& VisualPrintServer::oracle() const {
   return default_builder().oracle;
 }

@@ -104,10 +104,6 @@ class VisualPrintServer {
   /// Throws InvalidArgument for an unknown place.
   OracleDownload oracle_snapshot(const std::string& place) const;
 
-  /// Incremental oracle update from a previous serialized snapshot
-  /// (default place).
-  OracleDiff oracle_diff_from(std::span<const std::uint8_t> old_blob) const;
-
   // Default-place accessors (writer-side builder state; read-your-writes).
   const UniquenessOracle& oracle() const;
   const LshIndex& index() const;

@@ -62,31 +62,10 @@ std::uint32_t distance2_scalar(const std::uint8_t* a,
 
 #if VP_DIST_X86
 
-// Both x86 kernels widen u8 -> i16, take the difference, and use the
+// The x86 kernel widens u8 -> i16, takes the difference, and uses the
 // multiply-accumulate madd (i16*i16 -> paired i32 sums). Worst-case term
 // is 255^2 = 65025; 128 of them total 8,323,200 — far inside i32, so the
 // integer arithmetic is exact and bit-identical to the scalar loop.
-
-__attribute__((target("sse4.1"))) std::uint32_t distance2_sse41(
-    const std::uint8_t* a, const std::uint8_t* b) noexcept {
-  __m128i acc = _mm_setzero_si128();
-  for (std::size_t i = 0; i < kDistanceDims; i += 16) {
-    const __m128i va = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(b + i));
-    const __m128i d_lo = _mm_sub_epi16(_mm_cvtepu8_epi16(va),
-                                       _mm_cvtepu8_epi16(vb));
-    const __m128i d_hi =
-        _mm_sub_epi16(_mm_cvtepu8_epi16(_mm_srli_si128(va, 8)),
-                      _mm_cvtepu8_epi16(_mm_srli_si128(vb, 8)));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(d_lo, d_lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(d_hi, d_hi));
-  }
-  acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-  acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc));
-}
 
 __attribute__((target("avx2"))) std::uint32_t distance2_avx2(
     const std::uint8_t* a, const std::uint8_t* b) noexcept {
@@ -144,8 +123,6 @@ std::uint32_t distance2_neon(const std::uint8_t* a,
 DistanceFn kernel_fn(DistanceKernel kernel) noexcept {
   switch (kernel) {
 #if VP_DIST_X86
-    case DistanceKernel::kSse41:
-      return &distance2_sse41;
     case DistanceKernel::kAvx2:
       return &distance2_avx2;
 #endif
@@ -163,8 +140,6 @@ bool kernel_runnable(DistanceKernel kernel) noexcept {
     case DistanceKernel::kScalar:
       return true;
 #if VP_DIST_X86
-    case DistanceKernel::kSse41:
-      return __builtin_cpu_supports("sse4.1");
     case DistanceKernel::kAvx2:
       return __builtin_cpu_supports("avx2");
 #endif
@@ -180,7 +155,6 @@ bool kernel_runnable(DistanceKernel kernel) noexcept {
 constexpr std::array kCompiledKernels = {
     DistanceKernel::kScalar,
 #if VP_DIST_X86
-    DistanceKernel::kSse41,
     DistanceKernel::kAvx2,
 #endif
 #if VP_DIST_NEON
@@ -363,8 +337,6 @@ std::string_view kernel_name(DistanceKernel kernel) noexcept {
   switch (kernel) {
     case DistanceKernel::kScalar:
       return "scalar";
-    case DistanceKernel::kSse41:
-      return "sse4.1";
     case DistanceKernel::kAvx2:
       return "avx2";
     case DistanceKernel::kNeon:

@@ -2,10 +2,10 @@
 //
 // The paper runs brute-force matching "on GPU as a SIMD matching"; the CPU
 // equivalent is a vectorized u8 squared-L2 kernel. This module compiles
-// every kernel the target architecture can express (AVX2 and SSE4.1 on
-// x86, NEON on ARM, plus the portable scalar loop), probes the CPU once at
-// startup, and routes all distance work through the best supported kernel
-// via a single indirect call. Every kernel returns bit-identical sums —
+// every kernel the target architecture can express (AVX2 on x86, NEON on
+// ARM, plus the portable scalar loop), probes the CPU once at startup, and
+// routes all distance work through the best supported kernel via a single
+// indirect call. Every kernel returns bit-identical sums —
 // the arithmetic is exact integer math, so kernel choice can never change
 // a Match list (asserted in tests/test_features.cpp).
 //
@@ -24,7 +24,6 @@ inline constexpr std::size_t kDistanceDims = 128;
 
 enum class DistanceKernel : std::uint8_t {
   kScalar = 0,
-  kSse41 = 1,
   kAvx2 = 2,
   kNeon = 3,
 };

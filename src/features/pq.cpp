@@ -115,48 +115,6 @@ void adc_scan_scalar(const std::uint16_t* lut, const std::uint8_t* codes,
 
 #if VP_ADC_X86
 
-// SSE4.1 has no gather: the 16 table loads stay scalar, but they fill two
-// u16x8 vectors whose widening (unpack against zero keeps the values
-// unsigned) and summation are vectorized. _mm_setr_epi16 takes signed
-// shorts; the bit patterns of the u16 entries pass through unchanged.
-__attribute__((target("sse4.1"))) void adc_scan_sse41(
-    const std::uint16_t* lut, const std::uint8_t* codes,
-    const std::uint32_t* ids, std::size_t n, std::uint32_t* out) noexcept {
-  const __m128i zero = _mm_setzero_si128();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead));
-    }
-    const std::uint8_t* c = code_at(codes, ids, i);
-    const __m128i v0 = _mm_setr_epi16(
-        static_cast<short>(lut[(0 << 8) | c[0]]),
-        static_cast<short>(lut[(1 << 8) | c[1]]),
-        static_cast<short>(lut[(2 << 8) | c[2]]),
-        static_cast<short>(lut[(3 << 8) | c[3]]),
-        static_cast<short>(lut[(4 << 8) | c[4]]),
-        static_cast<short>(lut[(5 << 8) | c[5]]),
-        static_cast<short>(lut[(6 << 8) | c[6]]),
-        static_cast<short>(lut[(7 << 8) | c[7]]));
-    const __m128i v1 = _mm_setr_epi16(
-        static_cast<short>(lut[(8 << 8) | c[8]]),
-        static_cast<short>(lut[(9 << 8) | c[9]]),
-        static_cast<short>(lut[(10 << 8) | c[10]]),
-        static_cast<short>(lut[(11 << 8) | c[11]]),
-        static_cast<short>(lut[(12 << 8) | c[12]]),
-        static_cast<short>(lut[(13 << 8) | c[13]]),
-        static_cast<short>(lut[(14 << 8) | c[14]]),
-        static_cast<short>(lut[(15 << 8) | c[15]]));
-    __m128i s = _mm_add_epi32(
-        _mm_add_epi32(_mm_unpacklo_epi16(v0, zero),
-                      _mm_unpackhi_epi16(v0, zero)),
-        _mm_add_epi32(_mm_unpacklo_epi16(v1, zero),
-                      _mm_unpackhi_epi16(v1, zero)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    out[i] = static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-  }
-}
-
 // AVX2: all 16 table lookups become two vpgatherdd instructions. Indices
 // are u16-element positions (subspace * 256 + code byte), gathered at
 // scale 2 as 32-bit loads and masked down to the low 16 bits — the
@@ -225,8 +183,8 @@ __attribute__((target("avx2"))) void adc_scan_avx2(
 
 #if VP_ADC_NEON
 
-// NEON has no gather either; like SSE4.1 the loads are scalar and the
-// widening accumulation is vectorized.
+// NEON has no gather: the 16 table loads stay scalar, and the widening
+// accumulation is vectorized.
 void adc_scan_neon(const std::uint16_t* lut, const std::uint8_t* codes,
                    const std::uint32_t* ids, std::size_t n,
                    std::uint32_t* out) noexcept {
@@ -258,8 +216,6 @@ void adc_scan_neon(const std::uint16_t* lut, const std::uint8_t* codes,
 AdcScanFn adc_kernel_fn(DistanceKernel kernel) noexcept {
   switch (kernel) {
 #if VP_ADC_X86
-    case DistanceKernel::kSse41:
-      return &adc_scan_sse41;
     case DistanceKernel::kAvx2:
       return &adc_scan_avx2;
 #endif
@@ -277,8 +233,6 @@ bool adc_kernel_runnable(DistanceKernel kernel) noexcept {
     case DistanceKernel::kScalar:
       return true;
 #if VP_ADC_X86
-    case DistanceKernel::kSse41:
-      return __builtin_cpu_supports("sse4.1");
     case DistanceKernel::kAvx2:
       return __builtin_cpu_supports("avx2");
 #endif
@@ -294,7 +248,6 @@ bool adc_kernel_runnable(DistanceKernel kernel) noexcept {
 constexpr std::array kCompiledAdcKernels = {
     DistanceKernel::kScalar,
 #if VP_ADC_X86
-    DistanceKernel::kSse41,
     DistanceKernel::kAvx2,
 #endif
 #if VP_ADC_NEON

@@ -19,7 +19,7 @@
 //
 // The scan kernels follow the same probe-once/atomic-fn-pointer dispatch
 // pattern as features/distance.hpp: AVX2 (vpgatherdd over the table),
-// SSE4.1 (vector accumulation of scalar gathers), NEON, and a true-scalar
+// NEON (vector accumulation of scalar gathers), and a true-scalar
 // reference, pinnable via set_adc_kernel for benches and tests.
 #pragma once
 
@@ -167,7 +167,7 @@ class PqCodebook {
 // --- ADC scan kernel dispatch (same pattern as set_distance_kernel) -----
 
 /// Kernel tiers reuse the DistanceKernel ISA enum: the ADC scan compiles
-/// the same AVX2/SSE4.1/NEON/scalar set and probes the same CPU flags.
+/// the same AVX2/NEON/scalar set and probes the same CPU flags.
 std::span<const DistanceKernel> compiled_adc_kernels() noexcept;
 DistanceKernel active_adc_kernel() noexcept;
 /// Pin the ADC scan kernel (benches/tests). Returns false — and changes

@@ -51,13 +51,6 @@ std::uint64_t LshIndex::bucket_key(const LshBucket& bucket,
   return h1;
 }
 
-void LshIndex::reserve(std::size_t n) {
-  flat_.reserve(n * kDescriptorDims);
-  // Bucket occupancy is roughly n ids spread across the map; reserving at
-  // that count keeps the rebuild loop from rehashing log(n) times.
-  for (auto& table : tables_) table.reserve(n);
-}
-
 std::uint32_t LshIndex::insert(const Descriptor& descriptor) {
   VP_REQUIRE(size_ < UINT32_MAX, "index full");
   if (borrows_storage()) materialize();  // copy-on-write for mmap'd shards

@@ -107,10 +107,6 @@ class LshIndex {
       std::span<const std::uint8_t> codes, std::size_t k,
       ThreadPool* pool = nullptr) const;
 
-  /// Pre-size the descriptor array and per-table bucket maps for `n`
-  /// inserts (bulk shard rebuilds on database load).
-  void reserve(std::size_t n);
-
   /// Install `count` descriptors at once from a contiguous 128-byte-stride
   /// buffer and rebuild the bucket maps. With a `keepalive` the buffer is
   /// *borrowed* — the index stores only the span and the keepalive keeps

@@ -6,10 +6,10 @@
 // with a configurable cap. `try_enter` either admits (inflight +1, strictly
 // never above the cap — enforced by CAS, so a sampler can assert the
 // invariant at any instant) or sheds, and both outcomes are counted. The
-// gate carries no policy about *what* to do on shed; call sites answer with
-// ErrorResponse{kOverloaded} (TcpListener::serve for protocol-agnostic
-// servers, VisualPrintServer::handle_query for the query path) and
-// RetryingClient treats that reply as retryable with honored backoff.
+// gate carries no policy about *what* to do on shed; its one production
+// call site, VisualPrintServer::handle_query, answers with
+// ErrorResponse{kOverloaded}, and RetryingClient treats that reply as
+// retryable with honored backoff.
 #pragma once
 
 #include <atomic>
@@ -73,8 +73,7 @@ class AdmissionGate {
 };
 
 /// RAII admission: enters the gate on construction, exits on destruction.
-/// A null gate admits unconditionally (the "admission disabled" spelling at
-/// call sites that take an optional gate).
+/// A null gate admits unconditionally.
 class AdmissionTicket {
  public:
   explicit AdmissionTicket(AdmissionGate* gate) noexcept

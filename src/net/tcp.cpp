@@ -14,7 +14,6 @@
 #include <memory>
 #include <mutex>
 
-#include "net/admission.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -260,39 +259,22 @@ void service_connection(Socket& client, const TcpListener::Handler& handler,
         return;
       }
       Bytes response;
-      {
-        // The admission slot spans only handler execution: the reply is
-        // sent after the ticket releases, so a slow-reading client cannot
-        // hold server capacity through its own socket.
-        const AdmissionTicket ticket(options.admission);
-        if (!ticket.admitted()) {
-          stats.shed.fetch_add(1, std::memory_order_relaxed);
-          VP_OBS_COUNT("net.server.shed", 1);
-          ErrorResponse err;
-          err.code = ErrorResponse::kOverloaded;
-          err.message = "server at capacity (" +
-                        std::to_string(options.admission->max_inflight()) +
-                        " inflight requests)";
-          response = err.encode();
-        } else {
-          try {
-            response = handler(request);
-          } catch (const DecodeError& e) {
-            stats.handler_errors.fetch_add(1, std::memory_order_relaxed);
-            VP_OBS_COUNT("net.server.handler_errors", 1);
-            ErrorResponse err;
-            err.code = ErrorResponse::kBadRequest;
-            err.message = e.what();
-            response = err.encode();
-          } catch (const std::exception& e) {
-            stats.handler_errors.fetch_add(1, std::memory_order_relaxed);
-            VP_OBS_COUNT("net.server.handler_errors", 1);
-            ErrorResponse err;
-            err.code = ErrorResponse::kHandlerFailure;
-            err.message = e.what();
-            response = err.encode();
-          }
-        }
+      try {
+        response = handler(request);
+      } catch (const DecodeError& e) {
+        stats.handler_errors.fetch_add(1, std::memory_order_relaxed);
+        VP_OBS_COUNT("net.server.handler_errors", 1);
+        ErrorResponse err;
+        err.code = ErrorResponse::kBadRequest;
+        err.message = e.what();
+        response = err.encode();
+      } catch (const std::exception& e) {
+        stats.handler_errors.fetch_add(1, std::memory_order_relaxed);
+        VP_OBS_COUNT("net.server.handler_errors", 1);
+        ErrorResponse err;
+        err.code = ErrorResponse::kHandlerFailure;
+        err.message = e.what();
+        response = err.encode();
       }
       client.send_message(response);
       stats.responses.fetch_add(1, std::memory_order_relaxed);

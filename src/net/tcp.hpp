@@ -23,7 +23,6 @@
 
 namespace vp {
 
-class AdmissionGate;
 class ThreadPool;
 
 /// Owning socket handle (move-only RAII).
@@ -85,7 +84,6 @@ struct ServeStats {
   std::atomic<std::uint64_t> decode_errors{0};   ///< unframeable input -> VPE! + close
   std::atomic<std::uint64_t> timeouts{0};        ///< peer stalled past deadline
   std::atomic<std::uint64_t> io_errors{0};       ///< connection died mid-exchange
-  std::atomic<std::uint64_t> shed{0};            ///< admission-shed -> VPE! kOverloaded
 };
 
 /// Tuning for `TcpListener::serve`.
@@ -104,16 +102,6 @@ struct ServeOptions {
   std::size_t max_message_bytes = 256 * 1024 * 1024;
   /// How often the accept loop re-checks `keep_going` while idle.
   int poll_interval_ms = 50;
-  /// Optional request-level admission gate (borrowed; see
-  /// net/admission.hpp). When set, every received frame must enter the
-  /// gate before the handler runs; a shed request is answered with a
-  /// structured ErrorResponse{kOverloaded} on the live connection — the
-  /// connection survives, the reply is sent after the slot is released so
-  /// a slow reader never holds capacity. nullptr = admit everything.
-  /// Servers that should shed only their expensive request kind (e.g.
-  /// queries but not stats scrapes) gate inside their handler instead —
-  /// VisualPrintServer::handle_query does exactly that.
-  AdmissionGate* admission = nullptr;
 };
 
 /// Listening socket bound to 127.0.0.1:port (port 0 = ephemeral).

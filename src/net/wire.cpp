@@ -14,14 +14,13 @@ constexpr std::uint32_t kQueryMagic = 0x56505121u;   // "VPQ!"
 constexpr std::uint32_t kFrameMagic = 0x56504621u;   // "VPF!"
 constexpr std::uint32_t kLocMagic = 0x56504c21u;     // "VPL!"
 constexpr std::uint32_t kOracleMagic = 0x56504f21u;  // "VPO!"
-constexpr std::uint32_t kDiffMagic = 0x56504421u;    // "VPD!"
 constexpr std::uint32_t kStatsReqMagic = 0x56505321u;   // "VPS!"
 constexpr std::uint32_t kStatsRespMagic = 0x56505421u;  // "VPT!"
 constexpr std::uint32_t kErrorMagic = 0x56504521u;      // "VPE!"
 constexpr std::uint32_t kOracleReqMagic = 0x56505221u;  // "VPR!"
 constexpr std::uint16_t kVersion = 1;
 /// Messages that grew place/epoch fields for the sharded MapStore encode
-/// at v2; their decoders still accept v1 frames (fields default).
+/// at v2, the oldest version their decoders accept.
 constexpr std::uint16_t kPlacedVersion = 2;
 /// Query/response pairs carrying cross-process trace context encode at v3
 /// — but only when a nonzero trace_id is present, so untraced messages
@@ -51,12 +50,12 @@ void expect_header(ByteReader& r, std::uint32_t magic, const char* what) {
 }
 
 /// Header check for the place/epoch-aware messages: accepts versions
-/// 1..max_version and returns the one on the wire.
+/// kPlacedVersion..max_version and returns the one on the wire.
 std::uint16_t read_header_upto(ByteReader& r, std::uint32_t magic,
                                std::uint16_t max_version, const char* what) {
   if (r.u32() != magic) throw DecodeError{std::string(what) + ": bad magic"};
   const std::uint16_t version = r.u16();
-  if (version < 1 || version > max_version) {
+  if (version < kPlacedVersion || version > max_version) {
     throw DecodeError{std::string(what) + ": unsupported version"};
   }
   return version;
@@ -119,10 +118,8 @@ FingerprintQuery FingerprintQuery::decode(std::span<const std::uint8_t> data) {
   q.image_width = r.u16();
   q.image_height = r.u16();
   q.fov_h = r.f32();
-  if (version >= 2) {
-    q.place = r.str();
-    q.oracle_epoch = r.u32();
-  }
+  q.place = r.str();
+  q.oracle_epoch = r.u32();
   if (version == kCompactVersion) {
     q.codebook_epoch = r.u32();
     if (q.codebook_epoch == 0) {
@@ -258,7 +255,7 @@ LocationResponse LocationResponse::decode(std::span<const std::uint8_t> data) {
   resp.residual = r.f64();
   resp.matched_keypoints = r.u32();
   resp.place_label = r.str();
-  if (version >= 2) resp.place = r.str();
+  resp.place = r.str();
   if (version >= 3) {
     resp.trace_id = r.u64();
     if (resp.trace_id == 0) {
@@ -320,8 +317,8 @@ OracleDownload OracleDownload::decode(std::span<const std::uint8_t> data) {
   const std::uint16_t version =
       read_header_upto(r, kOracleMagic, kCodebookVersion, "oracle download");
   OracleDownload d;
-  d.epoch = r.u32();  // v1 frames: the old `version` counter reads as epoch
-  if (version >= 2) d.place = r.str();
+  d.epoch = r.u32();
+  d.place = r.str();
   const auto b = r.blob();
   d.compressed.assign(b.begin(), b.end());
   if (version >= kCodebookVersion) {
@@ -354,61 +351,6 @@ OracleRequest OracleRequest::decode(std::span<const std::uint8_t> data) {
   q.place = r.str();
   if (!r.done()) throw DecodeError{"oracle request: trailing bytes"};
   return q;
-}
-
-OracleDiff OracleDiff::make(std::span<const std::uint8_t> old_blob,
-                            std::span<const std::uint8_t> new_blob,
-                            std::uint32_t from_version,
-                            std::uint32_t to_version) {
-  // XOR against the old blob (zero-padded); unsaturated Bloom words rarely
-  // change between refreshes, so the XOR is mostly zeros and compresses
-  // far better than a full snapshot.
-  Bytes x(new_blob.size());
-  for (std::size_t i = 0; i < new_blob.size(); ++i) {
-    x[i] = new_blob[i] ^ (i < old_blob.size() ? old_blob[i] : 0);
-  }
-  OracleDiff d;
-  d.from_version = from_version;
-  d.to_version = to_version;
-  ByteWriter w(8 + x.size());
-  w.u64(new_blob.size());
-  w.raw(x);
-  d.compressed_xor = zlib_compress(w.bytes(), 9);
-  return d;
-}
-
-Bytes OracleDiff::apply(std::span<const std::uint8_t> old_blob) const {
-  const Bytes raw = zlib_decompress(compressed_xor);
-  ByteReader r(raw);
-  const std::uint64_t new_size = r.u64();
-  const auto x = r.raw(static_cast<std::size_t>(new_size));
-  Bytes out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = x[i] ^ (i < old_blob.size() ? old_blob[i] : 0);
-  }
-  return out;
-}
-
-Bytes OracleDiff::encode() const {
-  ByteWriter w(24 + compressed_xor.size());
-  w.u32(kDiffMagic);
-  w.u16(kVersion);
-  w.u32(from_version);
-  w.u32(to_version);
-  w.blob(compressed_xor);
-  return w.take();
-}
-
-OracleDiff OracleDiff::decode(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  expect_header(r, kDiffMagic, "oracle diff");
-  OracleDiff d;
-  d.from_version = r.u32();
-  d.to_version = r.u32();
-  const auto b = r.blob();
-  d.compressed_xor.assign(b.begin(), b.end());
-  if (!r.done()) throw DecodeError{"oracle diff: trailing bytes"};
-  return d;
 }
 
 Bytes ErrorResponse::encode() const {

@@ -226,25 +226,4 @@ struct StatsResponse {
   static StatsResponse decode(std::span<const std::uint8_t> data);
 };
 
-/// Server -> client incremental refresh: XOR diff between two oracle
-/// snapshots, compressed. The paper lists this as not-yet-implemented
-/// ("We could reduce data transfer by sending only a compressed bitmask
-/// representing the diff between versions"); implemented here.
-struct OracleDiff {
-  std::uint32_t from_version = 0;
-  std::uint32_t to_version = 0;
-  Bytes compressed_xor;  ///< zlib of (new_blob XOR old_blob), size-padded
-
-  /// Diff between serialized snapshots (old may be shorter after growth).
-  static OracleDiff make(std::span<const std::uint8_t> old_blob,
-                         std::span<const std::uint8_t> new_blob,
-                         std::uint32_t from_version, std::uint32_t to_version);
-
-  /// Reconstruct the new serialized snapshot from the old one.
-  Bytes apply(std::span<const std::uint8_t> old_blob) const;
-
-  Bytes encode() const;
-  static OracleDiff decode(std::span<const std::uint8_t> data);
-};
-
 }  // namespace vp

@@ -98,7 +98,7 @@ TEST(DistanceKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
   // VP_DISABLE_SIMD).
   const auto kernels = compiled_distance_kernels();
   for (const DistanceKernel probe :
-       {DistanceKernel::kSse41, DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
+       {DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
     bool compiled = false;
     for (const auto k : kernels) compiled |= (k == probe);
     if (!compiled) EXPECT_FALSE(set_distance_kernel(probe));
@@ -405,7 +405,7 @@ TEST(AdcKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
   }
   const auto kernels = compiled_adc_kernels();
   for (const DistanceKernel probe :
-       {DistanceKernel::kSse41, DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
+       {DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
     bool compiled = false;
     for (const auto k : kernels) compiled |= (k == probe);
     if (!compiled) EXPECT_FALSE(set_adc_kernel(probe));

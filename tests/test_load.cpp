@@ -2,15 +2,14 @@
 // accounting invariants under seeded concurrent bursts (the properties
 // DESIGN.md §13 promises: inflight never exceeds the cap, every offer is
 // admitted or shed exactly once, every shed request still gets exactly one
-// structured reply), the serve()-level and VisualPrintServer-level shed
-// paths, and the determinism contract of the bench_load smoke ledger.
+// structured reply), VisualPrintServer's shed path in-process and over
+// sockets, and the determinism contract of the bench_load smoke ledger.
 // TSan-clean by construction (scripts/tier1.sh runs this suite under
 // -DVP_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -136,91 +135,6 @@ TEST(Admission, CapIsAdjustableAtRuntime) {
   gate.exit();
 }
 
-// serve()-level shedding: a gate on ServeOptions bounds concurrently
-// executing handlers across connections; requests beyond the cap are
-// answered with a structured kOverloaded on their own connection — exactly
-// one reply each, never a dropped or torn frame.
-TEST(Admission, ServeShedsBeyondGateCapWithStructuredReplies) {
-  AdmissionGate gate(1);
-  std::mutex m;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-
-  ThreadPool pool(4);
-  TcpListener listener(0);
-  ServeOptions options;
-  options.pool = &pool;
-  options.max_connections = 8;
-  options.io_timeout_ms = 5000;
-  options.poll_interval_ms = 5;
-  options.admission = &gate;
-  ServeStats stats;
-  std::atomic<bool> run{true};
-  std::thread serve_thread([&] {
-    listener.serve(
-        [&](std::span<const std::uint8_t> req) {
-          {
-            std::unique_lock lock(m);
-            entered = true;
-            cv.notify_all();
-            cv.wait(lock, [&] { return release; });
-          }
-          return Bytes(req.begin(), req.end());
-        },
-        [&] { return run.load(); }, options, &stats);
-  });
-
-  // Client A occupies the single admitted slot inside the handler.
-  Bytes slow_reply;
-  std::thread slow_client([&] {
-    RetryPolicy p;
-    p.max_attempts = 1;
-    p.io_timeout_ms = 5000;
-    p.connect_timeout_ms = 2000;
-    RetryingClient net("127.0.0.1", listener.port(), p);
-    slow_reply = net.request(Bytes{0xA5});
-  });
-  {
-    std::unique_lock lock(m);
-    cv.wait(lock, [&] { return entered; });
-  }
-
-  // Clients B and C are shed: one structured kOverloaded reply each, on a
-  // live connection, without retry (their policy refuses overload retries).
-  for (int i = 0; i < 2; ++i) {
-    RetryPolicy p;
-    p.max_attempts = 3;
-    p.retry_overloaded = false;
-    p.io_timeout_ms = 2000;
-    p.connect_timeout_ms = 2000;
-    RetryingClient net("127.0.0.1", listener.port(), p);
-    try {
-      net.request(Bytes{0x5A});
-      FAIL() << "expected kOverloaded";
-    } catch (const RemoteError& e) {
-      EXPECT_EQ(e.code(), ErrorResponse::kOverloaded);
-    }
-    EXPECT_EQ(net.stats().attempts, 1u);  // shed is terminal, not retried
-    EXPECT_EQ(net.stats().overloaded, 1u);
-  }
-
-  {
-    std::lock_guard lock(m);
-    release = true;
-  }
-  cv.notify_all();
-  slow_client.join();
-  EXPECT_EQ(slow_reply, Bytes{0xA5});
-
-  run.store(false);
-  serve_thread.join();
-  EXPECT_EQ(gate.admitted(), 1u);
-  EXPECT_EQ(gate.shed(), 2u);
-  EXPECT_EQ(stats.shed.load(), 2u);
-  EXPECT_EQ(stats.responses.load(), 3u);  // every request got one reply
-}
-
 /// A few co-located synthetic keypoints: enough for retrieval to match
 /// (queries reuse the stored descriptors) and for the cluster filter to
 /// accept, with a tiny solver budget so served queries stay cheap.
@@ -300,6 +214,86 @@ TEST(Admission, ServerShedsQueriesButServesStatsAndOracle) {
   // try_enter above + the served query both count as admissions.
   EXPECT_EQ(server.admission().admitted(), 2u);
   EXPECT_EQ(server.admission().inflight(), 0u);
+}
+
+// Shedding over real sockets: a VisualPrintServer behind serve() with its
+// query gate at cap 1. While the only slot is held, every query is answered
+// with exactly one structured kOverloaded on its own live connection; a
+// client that refuses overload retries sees the shed as terminal, and the
+// same connection is served once the slot drains.
+TEST(Admission, ServeShedsBeyondGateCapWithStructuredReplies) {
+  ServerConfig cfg = soak_config();
+  VisualPrintServer server(cfg);
+  Rng rng(43);
+  const auto mappings = soak_mappings(rng, 40);
+  server.ingest_wardrive(mappings);
+  server.set_max_inflight(1);
+
+  FingerprintQuery q;
+  q.frame_id = 3;
+  for (std::size_t i = 0; i < 20; ++i) q.features.push_back(mappings[i].feature);
+  ByteWriter w;
+  w.u8(kQueryRequest);
+  w.raw(q.encode());
+  const Bytes query_frame = w.take();
+
+  ThreadPool pool(4);
+  TcpListener listener(0);
+  ServeOptions options;
+  options.pool = &pool;
+  options.max_connections = 8;
+  options.io_timeout_ms = 5000;
+  options.poll_interval_ms = 5;
+  ServeStats stats;
+  std::atomic<bool> run{true};
+  std::thread serve_thread([&] {
+    listener.serve(
+        [&](std::span<const std::uint8_t> req) {
+          return server.handle_request(req, 7);
+        },
+        [&] { return run.load(); }, options, &stats);
+  });
+
+  ASSERT_TRUE(server.admission().try_enter());  // hold the only slot
+
+  std::vector<std::unique_ptr<RetryingClient>> clients;
+  for (int i = 0; i < 2; ++i) {
+    RetryPolicy p;
+    p.max_attempts = 3;
+    p.retry_overloaded = false;
+    p.io_timeout_ms = 5000;
+    p.connect_timeout_ms = 2000;
+    clients.push_back(
+        std::make_unique<RetryingClient>("127.0.0.1", listener.port(), p));
+    RetryingClient& net = *clients.back();
+    try {
+      net.request(query_frame);
+      ADD_FAILURE() << "expected kOverloaded";
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorResponse::kOverloaded);
+    }
+    EXPECT_EQ(net.stats().attempts, 1u);  // shed is terminal, not retried
+    EXPECT_EQ(net.stats().overloaded, 1u);
+    EXPECT_TRUE(net.connected());  // the shed reply kept the connection
+  }
+
+  server.admission().exit();  // drain
+
+  for (const auto& net : clients) {
+    const Bytes reply = net->request(query_frame);
+    ASSERT_FALSE(is_error_frame(reply));
+    EXPECT_TRUE(LocationResponse::decode(reply).found);
+    EXPECT_EQ(net->stats().reconnects, 1u);  // same connection as the shed
+  }
+
+  clients.clear();
+  run.store(false);
+  serve_thread.join();
+  EXPECT_EQ(server.admission().shed(), 2u);
+  // try_enter above + the two served queries.
+  EXPECT_EQ(server.admission().admitted(), 3u);
+  EXPECT_EQ(stats.handler_errors.load(), 0u);
+  EXPECT_EQ(stats.responses.load(), 4u);  // every request got one reply
 }
 
 // Overload-recovery soak over real sockets: saturate a pooled server past

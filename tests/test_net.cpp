@@ -69,24 +69,6 @@ TEST(Wire, FingerprintQueryCarriesPlaceAndEpoch) {
   ASSERT_EQ(back.features.size(), 2u);
 }
 
-TEST(Wire, FingerprintQueryV1FrameDecodes) {
-  // Pre-shard v1 frame: no place/epoch fields; both must default.
-  ByteWriter w;
-  w.u32(0x56505121u);  // "VPQ!"
-  w.u16(1);
-  w.u32(7);    // frame_id
-  w.f64(1.0);  // capture_time
-  w.u16(920);
-  w.u16(540);
-  w.f32(1.1f);
-  w.u32(0);  // feature count
-  const FingerprintQuery back = FingerprintQuery::decode(w.bytes());
-  EXPECT_EQ(back.frame_id, 7u);
-  EXPECT_TRUE(back.place.empty());
-  EXPECT_EQ(back.oracle_epoch, 0u);
-  EXPECT_TRUE(back.features.empty());
-}
-
 TEST(Wire, FingerprintQueryV3TraceRoundtrip) {
   FingerprintQuery q = sample_query(3);
   q.place = "atrium";
@@ -350,23 +332,6 @@ TEST(Wire, OracleDownloadRoundtrip) {
   EXPECT_EQ(restored.count(d), oracle.count(d));
 }
 
-TEST(Wire, OracleDownloadV1FrameDecodes) {
-  // Pre-shard v1 frame: no place field, the old `version` counter reads
-  // as the epoch.
-  OracleConfig cfg;
-  cfg.capacity = 2'000;
-  UniquenessOracle oracle(cfg);
-  ByteWriter w;
-  w.u32(0x56504f21u);  // "VPO!"
-  w.u16(1);
-  w.u32(7);
-  w.blob(zlib_compress(oracle.serialize(), 9));
-  const OracleDownload back = OracleDownload::decode(w.bytes());
-  EXPECT_EQ(back.epoch, 7u);
-  EXPECT_TRUE(back.place.empty());
-  EXPECT_EQ(back.unpack().byte_size(), oracle.byte_size());
-}
-
 TEST(Wire, OracleDownloadCodebookRoundtrip) {
   OracleConfig cfg;
   cfg.capacity = 2'000;
@@ -417,37 +382,6 @@ TEST(Wire, OracleDownloadCompresses) {
   UniquenessOracle oracle(cfg);  // nearly empty -> very compressible
   const OracleDownload down = OracleDownload::pack(oracle, 1);
   EXPECT_LT(down.compressed.size(), oracle.serialize().size() / 20);
-}
-
-TEST(Wire, OracleDiffReconstructs) {
-  OracleConfig cfg;
-  cfg.capacity = 10'000;
-  UniquenessOracle oracle(cfg);
-  Rng rng(2);
-  Descriptor d1, d2;
-  for (auto& v : d1) v = static_cast<std::uint8_t>(rng.uniform_u64(60));
-  for (auto& v : d2) v = static_cast<std::uint8_t>(rng.uniform_u64(60));
-
-  oracle.insert(d1);
-  const Bytes v1 = oracle.serialize();
-  oracle.insert(d2);
-  const Bytes v2 = oracle.serialize();
-
-  const OracleDiff diff = OracleDiff::make(v1, v2, 1, 2);
-  const Bytes rebuilt = diff.apply(v1);
-  EXPECT_EQ(rebuilt, v2);
-  // Diff should be much smaller than the full new snapshot compressed.
-  EXPECT_LT(diff.compressed_xor.size(), zlib_compress(v2, 9).size() + 128);
-}
-
-TEST(Wire, OracleDiffEncodeRoundtrip) {
-  const Bytes old_blob{1, 2, 3, 4};
-  const Bytes new_blob{1, 9, 3, 4, 5};
-  const OracleDiff d = OracleDiff::make(old_blob, new_blob, 3, 4);
-  const OracleDiff back = OracleDiff::decode(d.encode());
-  EXPECT_EQ(back.from_version, 3u);
-  EXPECT_EQ(back.to_version, 4u);
-  EXPECT_EQ(back.apply(old_blob), new_blob);
 }
 
 TEST(Wire, StatsRequestSlowLogFormatRoundtrips) {
@@ -557,11 +491,6 @@ std::vector<std::pair<std::string, Bytes>> wire_specimens() {
       "OracleDownloadV3",
       OracleDownload::pack(oracle, 3, "atrium", codebook).encode());
 
-  const Bytes old_blob{1, 2, 3, 4};
-  const Bytes new_blob{1, 9, 3, 4, 5};
-  specimens.emplace_back("OracleDiff",
-                         OracleDiff::make(old_blob, new_blob, 1, 2).encode());
-
   StatsRequest stats_req;
   stats_req.format = StatsRequest::kFormatPrometheus;
   specimens.emplace_back("StatsRequest", stats_req.encode());
@@ -594,8 +523,6 @@ void decode_specimen(const std::string& name,
     (void)LocationResponse::decode(data);
   } else if (name == "OracleDownload" || name == "OracleDownloadV3") {
     (void)OracleDownload::decode(data);
-  } else if (name == "OracleDiff") {
-    (void)OracleDiff::decode(data);
   } else if (name == "OracleRequest") {
     (void)OracleRequest::decode(data);
   } else if (name == "StatsRequest") {
@@ -668,13 +595,6 @@ TEST(WireFuzz, LyingLengthFieldsThrowWithoutOverAllocating) {
   const std::size_t payload_len_off = 4 + 2 + 4 + 8 + 1;
   for (std::size_t i = 0; i < 4; ++i) fb[payload_len_off + i] = 0xFF;
   EXPECT_THROW(FrameUpload::decode(fb), DecodeError);
-
-  // Blob length lie in an OracleDiff.
-  const OracleDiff diff = OracleDiff::make(Bytes{1}, Bytes{2}, 1, 2);
-  Bytes db = diff.encode();
-  const std::size_t xor_len_off = 4 + 2 + 4 + 4;
-  for (std::size_t i = 0; i < 4; ++i) db[xor_len_off + i] = 0xFF;
-  EXPECT_THROW(OracleDiff::decode(db), DecodeError);
 }
 
 TEST(WireFuzz, CorruptZlibStreamsThrowDecodeError) {

@@ -152,34 +152,6 @@ TEST(IcpPlanar, NeverTiltsThePose) {
 }
 
 // ---------------------------------------------------------------------------
-class DiffPairTest : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(DiffPairTest, OracleDiffReconstructsAnyPair) {
-  const auto [old_size, new_size] = GetParam();
-  Rng rng(41 + static_cast<std::uint64_t>(old_size * 31 + new_size));
-  Bytes old_blob(static_cast<std::size_t>(old_size));
-  Bytes new_blob(static_cast<std::size_t>(new_size));
-  for (auto& b : old_blob) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
-  // New blob: mostly equal to old where they overlap (realistic refresh).
-  for (std::size_t i = 0; i < new_blob.size(); ++i) {
-    new_blob[i] = i < old_blob.size() && !rng.chance(0.05)
-                      ? old_blob[i]
-                      : static_cast<std::uint8_t>(rng.uniform_u64(256));
-  }
-  const OracleDiff diff = OracleDiff::make(old_blob, new_blob, 1, 2);
-  EXPECT_EQ(diff.apply(old_blob), new_blob);
-  // Encode/decode stability on top.
-  const OracleDiff back = OracleDiff::decode(diff.encode());
-  EXPECT_EQ(back.apply(old_blob), new_blob);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizePairs, DiffPairTest,
-    ::testing::Values(std::pair{0, 100}, std::pair{100, 0},
-                      std::pair{100, 100}, std::pair{100, 500},
-                      std::pair{500, 100}, std::pair{4096, 4099}));
-
-// ---------------------------------------------------------------------------
 TEST(WardriveSweep, ForwardViewsPresent) {
   // With views_per_stop >= 3, every third view must look along the
   // corridor (the ICP anchor views).

@@ -109,10 +109,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Oracle ranking quality across aggregates and K.
+// gtest names each case by a byte dump of its parameter, so the bytes between
+// `aggregate` and `hashes` are a named, zeroed member rather than padding
+// (padding would carry stack garbage and make the case names vary per run).
 struct OracleParams {
+  OracleParams(OracleAggregate a, std::size_t k) : aggregate(a), hashes(k) {}
   OracleAggregate aggregate;
+  std::uint8_t reserved[7] = {};
   std::size_t hashes;
 };
+static_assert(sizeof(OracleParams) == 16);
 
 class OracleGridTest : public ::testing::TestWithParam<OracleParams> {};
 

@@ -264,74 +264,6 @@ TEST(ResidencyFormat, FlippedSegmentChecksumRejected) {
   }
 }
 
-TEST(ResidencyFormat, LegacyV2DatabaseLoadsLazily) {
-  // Hand-assembled pre-PQ v2 bytes (the v2 writer's exact layout): lazy
-  // registration must manage old formats too — they just load by copy
-  // instead of mmap borrow.
-  Rng rng(60);
-  UniquenessOracle oracle(small_oracle());
-  std::vector<Feature> feats;
-  for (int i = 0; i < 5; ++i) {
-    feats.push_back(make_feature(rng));
-    oracle.insert(feats.back().descriptor);
-  }
-
-  ByteWriter shard;
-  shard.str("old wing");
-  shard.str("old wing");
-  LshIndexConfig index_cfg;
-  shard.u16(static_cast<std::uint16_t>(index_cfg.lsh.tables));
-  shard.u16(static_cast<std::uint16_t>(index_cfg.lsh.projections));
-  shard.f64(index_cfg.lsh.width);
-  shard.u64(index_cfg.lsh.seed);
-  shard.u8(index_cfg.multiprobe ? 1 : 0);
-  shard.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
-  shard.u32(2);       // neighbors_per_keypoint
-  shard.u32(65'000);  // max_match_distance2
-  shard.u32(3);       // epoch
-  shard.u32(5);       // oracle_version
-  shard.blob(zlib_compress(oracle.serialize(), 6));
-  shard.u32(static_cast<std::uint32_t>(feats.size()));
-  for (std::size_t i = 0; i < feats.size(); ++i) {
-    const Descriptor& d = feats[i].descriptor;
-    shard.raw(std::span<const std::uint8_t>(d.data(), d.size()));
-    shard.f64(1.0 * static_cast<double>(i));
-    shard.f64(2.0);
-    shard.f64(0.5);
-    shard.i32(static_cast<std::int32_t>(i % 2));
-    shard.u32(3);
-  }
-
-  ByteWriter w;
-  w.u32(0x56504442u);  // "VPDB"
-  w.u16(2);
-  w.str("old wing");
-  w.u32(1);
-  w.blob(shard.bytes());
-
-  const std::string path = temp_db_path("v2lazy");
-  write_bytes(path, w.bytes());
-  DbLoadOptions lazy;
-  lazy.lazy = true;
-  VisualPrintServer server = VisualPrintServer::load(path, lazy);
-
-  // Manifest answers without loading: the registration peek skipped the
-  // oracle and keypoint payloads entirely.
-  EXPECT_EQ(server.store().default_place(), "old wing");
-  EXPECT_EQ(server.store().residency().stats().loads, 0u);
-  EXPECT_EQ(server.store().epoch("old wing"), 3u);
-  EXPECT_EQ(server.store().storage_mode("old wing"), "exact");
-  EXPECT_EQ(server.store().snapshot("old wing"), nullptr);
-
-  // First touch faults the shard in through the legacy parser.
-  const auto snap = server.store().fault_in("old wing");
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->stored.size(), 5u);
-  EXPECT_DOUBLE_EQ(snap->stored[2].position.x, 2.0);
-  EXPECT_EQ(server.store().residency().stats().loads, 1u);
-  std::filesystem::remove(path);
-}
-
 // ---------------------------------------------------------------------------
 // lazy fault-in + LRU budget
 
