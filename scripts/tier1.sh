@@ -2,8 +2,9 @@
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer pass
 # over the threading-sensitive test binaries (test_util, test_obs,
 # test_features, test_net, test_tcp, test_faults, test_load, test_index)
-# plus the MapStore ingest-while-serving soak from test_core, the
-# pool-parallel differential-evolution suite from test_geometry, and the
+# plus the MapStore suites from test_core (ingest-while-serving soak,
+# oracle downloads racing publishes), the pool-parallel differential-
+# evolution and localization suites from test_geometry, and the
 # shard-residency fault/evict churn soak from test_residency.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir]
@@ -34,9 +35,10 @@ for t in "${tsan_targets[@]}"; do
     # solver work that is slow under TSan and races nothing.
     "$tsan_dir/tests/$t" --gtest_filter='MapStore*'
   elif [ "$t" = test_geometry ]; then
-    # Only the DE suite: its pool-size bit-identity test runs the chunked
-    # objective evaluation across 1/4/16 workers.
-    "$tsan_dir/tests/$t" --gtest_filter='DifferentialEvolution*'
+    # Only the DE and localization suites: their pool-size bit-identity
+    # tests run the chunked objective evaluation (a generic objective and
+    # the Fig. 12 LocalizationObjective) across several workers.
+    "$tsan_dir/tests/$t" --gtest_filter='DifferentialEvolution*:Localize*'
   elif [ "$t" = test_residency ]; then
     # The threaded residency suites: single-flight cold faults and the
     # fault/evict churn soak (queries racing eviction + unmap). The format

@@ -100,6 +100,9 @@ LocationResponse PlaceShard::localize(const FingerprintQuery& query,
     result = vp::localize(obs, cam, solve_cfg, rng);
   }
   if (!result) return resp;
+  VP_OBS_TRACE_NOTE("localize.generations", result->generations);
+  VP_OBS_TRACE_NOTE("localize.residual", result->residual);
+  if (result->hit_time_bound) VP_OBS_COUNT("localize.time_bound_hits", 1);
 
   VP_OBS_COUNT("server.localized", 1);
   resp.found = true;
@@ -527,12 +530,37 @@ OracleDownload MapStore::oracle_snapshot(const std::string& place) const {
   // A client download is a first-class read: fault the shard in if cold.
   const auto shard = fault_in(id);
   VP_REQUIRE(shard != nullptr, "oracle snapshot of unknown place: " + id);
-  // A PQ-ready shard ships its codebook with the oracle, so the client can
-  // encode compact (v4) query fingerprints against this exact epoch.
-  return OracleDownload::pack(shard->oracle, shard->epoch, shard->place,
-                              shard->index.pq_ready()
-                                  ? shard->index.pq_codebook().raw()
-                                  : std::span<const std::uint8_t>{});
+  // Packing deflates the whole oracle, so each published snapshot is
+  // packed once. The cache holds its shard weakly: a hit needs the very
+  // shard this download faulted in, alive, so a freed shard whose address
+  // is reused can never match.
+  std::shared_ptr<const OracleDownload> packed;
+  {
+    std::lock_guard lock(pack_mutex_);
+    const auto it = packed_.find(id);
+    if (it != packed_.end() && it->second.shard.lock() == shard) {
+      packed = it->second.download;
+    }
+  }
+  if (packed == nullptr) {
+    // Packed outside the lock: concurrent first downloads of one snapshot
+    // may both pack (identical bytes); downloads of other places never wait.
+    // A PQ-ready shard ships its codebook with the oracle, so the client
+    // can encode compact (v4) query fingerprints against this exact epoch.
+    packed = std::make_shared<const OracleDownload>(OracleDownload::pack(
+        shard->oracle, shard->epoch, shard->place,
+        shard->index.pq_ready() ? shard->index.pq_codebook().raw()
+                                : std::span<const std::uint8_t>{}));
+    oracle_packs_.fetch_add(1, std::memory_order_relaxed);
+    VP_OBS_COUNT("store.oracle_packs", 1);
+    // A slow pack of an older snapshot must not evict a newer one's.
+    std::lock_guard lock(pack_mutex_);
+    PackedOracle& slot = packed_[id];
+    if (slot.shard.expired() || slot.download->epoch <= packed->epoch) {
+      slot = {shard, packed};
+    }
+  }
+  return *packed;
 }
 
 void MapStore::set_pool(ThreadPool* pool) {

@@ -204,7 +204,9 @@ class MapStore {
   LocationResponse localize(const FingerprintQuery& query, Rng& rng) const;
 
   /// Epoch'd oracle snapshot for client download. Empty `place` means the
-  /// default place. Throws InvalidArgument for an unknown place.
+  /// default place. Throws InvalidArgument for an unknown place. Packed
+  /// once per published snapshot; later downloads of the same snapshot
+  /// copy the cached bytes.
   OracleDownload oracle_snapshot(const std::string& place) const;
 
   /// Attach (or detach, with nullptr) the borrowed fan-out worker pool.
@@ -235,6 +237,11 @@ class MapStore {
   /// Total atomic shard-map swaps since construction.
   std::uint64_t swap_count() const noexcept {
     return swap_count_.load(std::memory_order_relaxed);
+  }
+  /// Oracle packs (zlib deflates) run by `oracle_snapshot` since
+  /// construction; also counted as `store.oracle_packs`.
+  std::uint64_t oracle_pack_count() const noexcept {
+    return oracle_packs_.load(std::memory_order_relaxed);
   }
 
   // --- writer-side direct access (single-threaded tooling) --------------
@@ -287,6 +294,17 @@ class MapStore {
 
   std::atomic<std::shared_ptr<const ShardMap>> state_;
   std::atomic<std::uint64_t> swap_count_{0};
+
+  /// Last packed oracle download per place, keyed on the snapshot it was
+  /// packed from. Held here rather than in PlaceShard: publishing copies
+  /// the builder's shard, and a copied cache would serve stale bytes.
+  struct PackedOracle {
+    std::weak_ptr<const PlaceShard> shard;
+    std::shared_ptr<const OracleDownload> download;
+  };
+  mutable std::mutex pack_mutex_;  ///< guards packed_ (never held to pack)
+  mutable std::map<std::string, PackedOracle, std::less<>> packed_;
+  mutable std::atomic<std::uint64_t> oracle_packs_{0};
 
   // Residency policy + accounting for lazily-registered shards. Behind a
   // unique_ptr (shallow const) so const read paths can fault shards in;

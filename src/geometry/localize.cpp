@@ -40,35 +40,53 @@ std::vector<std::pair<std::size_t, std::size_t>> select_pairs(
 
 }  // namespace
 
-double localization_cost(
-    Vec3 a, std::span<const Observation> obs,
+// The paper's Fig. 12 objective decomposes pairwise angular error into
+// X/Z- and Y/Z-plane components, which assumes a roll-free camera in a
+// particular world frame. We use the rotation-invariant equivalent: the
+// full 3-D angle between the two pixel rays must match the angle subtended
+// at the candidate position by the two matched world points. Same
+// observations, no frame assumption; residual units are radians^2 as in
+// the paper.
+LocalizationObjective::LocalizationObjective(
+    std::span<const Observation> obs,
     std::span<const std::pair<std::size_t, std::size_t>> pairs,
-    const CameraIntrinsics& cam) noexcept {
-  // The paper's Fig. 12 objective decomposes pairwise angular error into
-  // X/Z- and Y/Z-plane components, which assumes a roll-free camera in a
-  // particular world frame. We use the rotation-invariant equivalent: the
-  // full 3-D angle between the two pixel rays must match the angle
-  // subtended at the candidate position by the two matched world points.
-  // Same observations, no frame assumption; residual units are radians^2
-  // as in the paper.
-  double cost = 0;
+    const CameraIntrinsics& cam) {
+  std::vector<Vec3> rays;
+  rays.reserve(obs.size());
+  world_.reserve(obs.size());
+  for (const auto& o : obs) {
+    rays.push_back(cam.pixel_ray(o.pixel));
+    world_.push_back(o.world_point);
+  }
+  pairs_.reserve(pairs.size());
   for (const auto& [i, j] : pairs) {
-    const Vec3 ri = cam.pixel_ray(obs[i].pixel);
-    const Vec3 rj = cam.pixel_ray(obs[j].pixel);
-    const double observed =
-        std::acos(std::clamp(ri.dot(rj), -1.0, 1.0));
+    pairs_.push_back(
+        {i, j, std::acos(std::clamp(rays[i].dot(rays[j]), -1.0, 1.0))});
+  }
+}
 
-    const Vec3 di = obs[i].world_point - a;
-    const Vec3 dj = obs[j].world_point - a;
-    const double ni = di.norm();
-    const double nj = dj.norm();
-    if (ni < 1e-9 || nj < 1e-9) {
+double LocalizationObjective::operator()(Vec3 a) const {
+  // Per-call buffer: the DE pool evaluates candidates concurrently.
+  struct Offset {
+    Vec3 d;
+    double n;
+  };
+  std::vector<Offset> off(world_.size());
+  for (std::size_t k = 0; k < world_.size(); ++k) {
+    off[k].d = world_[k] - a;
+    off[k].n = off[k].d.norm();
+  }
+  double cost = 0;
+  for (const Pair& p : pairs_) {
+    const Offset& di = off[p.i];
+    const Offset& dj = off[p.j];
+    if (di.n < 1e-9 || dj.n < 1e-9) {
       cost += 10.0;  // candidate sits on a landmark: strongly penalize
       continue;
     }
     const double subtended =
-        std::acos(std::clamp(di.dot(dj) / (ni * nj), -1.0, 1.0));
-    const double e = observed - subtended;
+        std::acos(std::clamp(di.d.dot(dj.d) / (di.n * dj.n), -1.0, 1.0));
+    const double e = p.observed - subtended;
     cost += e * e;
   }
   return cost;
@@ -95,6 +113,7 @@ struct SolveOutput {
   Vec3 position;
   double cost = 0;
   std::size_t pairs = 0;
+  std::size_t generations = 0;
   bool hit_time_bound = false;
 };
 
@@ -102,40 +121,46 @@ SolveOutput solve_position(std::span<const Observation> obs,
                            const CameraIntrinsics& cam,
                            const LocalizeConfig& config, Rng& rng) {
   const auto pairs = select_pairs(obs.size(), config.max_pairs, rng);
+  const LocalizationObjective cost(obs, pairs, cam);
   const std::array<double, 3> lo{config.search_lo.x, config.search_lo.y,
                                  config.search_lo.z};
   const std::array<double, 3> hi{config.search_hi.x, config.search_hi.y,
                                  config.search_hi.z};
   const auto objective = [&](std::span<const double> v) {
-    return localization_cost({v[0], v[1], v[2]}, obs, pairs, cam);
+    return cost({v[0], v[1], v[2]});
   };
   const DeResult de = differential_evolution(objective, lo, hi, config.de, rng);
   return {{de.best[0], de.best[1], de.best[2]}, de.cost, pairs.size(),
-          de.hit_time_bound};
+          de.generations, de.hit_time_bound};
 }
 
 /// Per-observation angular residual at position `a`: |observed - subtended|
 /// against every other observation, averaged.
 std::vector<double> per_observation_residuals(
     Vec3 a, std::span<const Observation> obs, const CameraIntrinsics& cam) {
+  std::vector<Vec3> rays, d;
+  std::vector<double> n;
+  rays.reserve(obs.size());
+  d.reserve(obs.size());
+  n.reserve(obs.size());
+  for (const auto& o : obs) {
+    rays.push_back(cam.pixel_ray(o.pixel));
+    d.push_back(o.world_point - a);
+    n.push_back(d.back().norm());
+  }
   std::vector<double> res(obs.size(), 0.0);
   for (std::size_t i = 0; i < obs.size(); ++i) {
-    const Vec3 ri = cam.pixel_ray(obs[i].pixel);
-    const Vec3 di = obs[i].world_point - a;
-    const double ni = di.norm();
     double sum = 0;
     for (std::size_t j = 0; j < obs.size(); ++j) {
       if (j == i) continue;
-      const Vec3 rj = cam.pixel_ray(obs[j].pixel);
-      const double observed = std::acos(std::clamp(ri.dot(rj), -1.0, 1.0));
-      const Vec3 dj = obs[j].world_point - a;
-      const double nj = dj.norm();
-      if (ni < 1e-9 || nj < 1e-9) {
+      const double observed =
+          std::acos(std::clamp(rays[i].dot(rays[j]), -1.0, 1.0));
+      if (n[i] < 1e-9 || n[j] < 1e-9) {
         sum += 1.0;
         continue;
       }
       const double subtended =
-          std::acos(std::clamp(di.dot(dj) / (ni * nj), -1.0, 1.0));
+          std::acos(std::clamp(d[i].dot(d[j]) / (n[i] * n[j]), -1.0, 1.0));
       sum += std::abs(observed - subtended);
     }
     res[i] = sum / static_cast<double>(obs.size() - 1);
@@ -160,6 +185,8 @@ std::optional<LocalizeResult> localize(std::span<const Observation> obs,
 
   std::vector<Observation> working(obs.begin(), obs.end());
   SolveOutput solved = solve_position(working, cam, config, rng);
+  std::size_t generations = solved.generations;
+  bool hit_time_bound = solved.hit_time_bound;
 
   // Refinement: drop the observations that fit the solution worst
   // (mismatched retrievals that slipped past the cluster filter), re-solve.
@@ -180,6 +207,8 @@ std::optional<LocalizeResult> localize(std::span<const Observation> obs,
     for (std::size_t i = 0; i < keep; ++i) kept.push_back(working[order[i]]);
     working = std::move(kept);
     solved = solve_position(working, cam, config, rng);
+    generations += solved.generations;
+    hit_time_bound = hit_time_bound || solved.hit_time_bound;
   }
 
   LocalizeResult out;
@@ -187,7 +216,8 @@ std::optional<LocalizeResult> localize(std::span<const Observation> obs,
   out.pose.rotation = recover_orientation(solved.position, working, cam);
   out.residual = solved.cost;
   out.pairs_used = solved.pairs;
-  out.hit_time_bound = solved.hit_time_bound;
+  out.generations = generations;
+  out.hit_time_bound = hit_time_bound;
   return out;
 }
 

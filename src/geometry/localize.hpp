@@ -38,16 +38,36 @@ struct LocalizeResult {
   Pose pose;                 ///< recovered 6-DoF camera pose
   double residual = 0;       ///< objective value at the solution
   std::size_t pairs_used = 0;
-  bool hit_time_bound = false;
+  std::size_t generations = 0;  ///< DE generations, summed over every solve
+  bool hit_time_bound = false;  ///< any solve stopped by the wall clock
 };
 
-/// The Fig. 12 objective: summed squared angular error, on the X/Z and Y/Z
-/// planes, between observed pixel-pair separations and the separations
-/// subtended at candidate position `a` by the matched 3-D points. Exposed
-/// separately so ablation benches can evaluate the raw cost surface.
-double localization_cost(Vec3 a, std::span<const Observation> obs,
-                         std::span<const std::pair<std::size_t, std::size_t>> pairs,
-                         const CameraIntrinsics& cam) noexcept;
+/// The Fig. 12 objective for one solve: summed squared angular error
+/// between observed pixel-pair separations and the separations subtended
+/// at a candidate position by the matched 3-D points. Everything that does
+/// not depend on the candidate (pixel rays, observed pair angles) is
+/// computed once at construction; an evaluation computes each
+/// observation's offset and distance once, then one dot, one divide and
+/// one acos per pair. Evaluations hold no shared scratch, so the DE pool
+/// may call operator() concurrently.
+class LocalizationObjective {
+ public:
+  LocalizationObjective(
+      std::span<const Observation> obs,
+      std::span<const std::pair<std::size_t, std::size_t>> pairs,
+      const CameraIntrinsics& cam);
+
+  /// Cost at candidate camera position `a`, in radians^2.
+  double operator()(Vec3 a) const;
+
+ private:
+  struct Pair {
+    std::size_t i, j;
+    double observed;  ///< angle between the two pixel rays, radians
+  };
+  std::vector<Vec3> world_;  ///< matched 3-D points, observation order
+  std::vector<Pair> pairs_;
+};
 
 /// Solve for the client pose. Needs >= 3 observations; returns nullopt when
 /// the geometry is degenerate (fewer observations or collapsed points).

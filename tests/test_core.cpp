@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "core/client.hpp"
@@ -336,6 +337,90 @@ TEST(MapStore, SnapshotIsolationAndEpochBump) {
   EXPECT_EQ(second->epoch, 2u);
   EXPECT_EQ(store.epoch("hall"), 2u);
   EXPECT_GE(store.swap_count(), 2u);
+}
+
+/// The download an uncached server would send for the current snapshot.
+Bytes fresh_oracle_pack(const MapStore& store, const std::string& place) {
+  const auto shard = store.snapshot(place);
+  return OracleDownload::pack(shard->oracle, shard->epoch, shard->place,
+                              shard->index.pq_ready()
+                                  ? shard->index.pq_codebook().raw()
+                                  : std::span<const std::uint8_t>{})
+      .encode();
+}
+
+TEST(MapStore, OracleDownloadPackedOncePerSnapshot) {
+  VisualPrintServer server(small_server());
+  MapStore& store = server.store();
+  Rng rng(44);
+  store.ingest_wardrive("hall", random_mappings(rng, 10, {0, 0, 0}));
+  store.ingest_wardrive("annex", random_mappings(rng, 10, {8, 0, 0}));
+  const std::uint64_t packs0 = store.oracle_pack_count();
+
+  const Bytes first = store.oracle_snapshot("hall").encode();
+  EXPECT_EQ(store.oracle_pack_count(), packs0 + 1);
+  const Bytes again = store.oracle_snapshot("hall").encode();
+  EXPECT_EQ(store.oracle_pack_count(), packs0 + 1);  // served from the cache
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(first, fresh_oracle_pack(store, "hall"));
+  // Another place has its own entry and leaves hall's alone.
+  (void)store.oracle_snapshot("annex");
+  EXPECT_EQ(store.oracle_pack_count(), packs0 + 2);
+  (void)store.oracle_snapshot("hall");
+  EXPECT_EQ(store.oracle_pack_count(), packs0 + 2);
+
+  // A publish makes a new snapshot: the next download packs it once and
+  // carries the new epoch and oracle.
+  store.ingest_wardrive("hall", random_mappings(rng, 5, {5, 0, 0}));
+  const OracleDownload next = store.oracle_snapshot("hall");
+  EXPECT_EQ(store.oracle_pack_count(), packs0 + 3);
+  EXPECT_EQ(next.epoch, 2u);
+  EXPECT_EQ(next.unpack().insertions(), 15u);
+  EXPECT_NE(next.encode(), first);
+  EXPECT_EQ(next.encode(), fresh_oracle_pack(store, "hall"));
+  EXPECT_EQ(store.oracle_snapshot("hall").encode(), next.encode());
+  EXPECT_EQ(store.oracle_pack_count(), packs0 + 3);
+}
+
+TEST(MapStore, OracleDownloadsRacingPublishNeverMixEpochAndOracle) {
+  VisualPrintServer server(small_server());
+  MapStore& store = server.store();
+  Rng rng(45);
+  store.ingest_wardrive("hall", random_mappings(rng, 10, {0, 0, 0}));
+
+  constexpr int kReaders = 3;
+  constexpr int kDownloadsPerReader = 20;
+  constexpr int kPublishes = 8;
+  std::vector<std::vector<std::pair<std::uint32_t, Bytes>>> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&store, &seen, t] {
+      for (int i = 0; i < kDownloadsPerReader; ++i) {
+        const OracleDownload d = store.oracle_snapshot("hall");
+        seen[static_cast<std::size_t>(t)].emplace_back(d.epoch, d.encode());
+      }
+    });
+  }
+  // Every epoch's expected download, taken by the only writer right after
+  // its publish (the snapshot cannot change under it).
+  std::map<std::uint32_t, Bytes> expected;
+  expected[1] = fresh_oracle_pack(store, "hall");
+  for (int p = 0; p < kPublishes; ++p) {
+    store.ingest_wardrive("hall", random_mappings(rng, 3, {1.0 * p, 1, 0}));
+    expected[store.epoch("hall")] = fresh_oracle_pack(store, "hall");
+  }
+  for (auto& t : readers) t.join();
+
+  std::size_t downloads = 0;
+  for (const auto& per_reader : seen) {
+    for (const auto& [epoch, bytes] : per_reader) {
+      ++downloads;
+      ASSERT_EQ(expected.count(epoch), 1u) << "epoch " << epoch;
+      EXPECT_EQ(bytes, expected[epoch]) << "epoch " << epoch;
+    }
+  }
+  EXPECT_EQ(downloads, std::size_t{kReaders} * kDownloadsPerReader);
+  EXPECT_LE(store.oracle_pack_count(), downloads);
 }
 
 TEST(MapStore, SingleIngestsVisibleOnNextRead) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
+#include <numeric>
 #include <numbers>
 
 #include "geometry/angles.hpp"
@@ -329,6 +333,287 @@ TEST(Localize, RejectsDegenerateInput) {
                                 {{40, 40}, {1, 1, 1}},
                                 {{80, 20}, {1, 1, 1}}};
   EXPECT_FALSE(localize(same, intr, {}, rng).has_value());
+}
+
+// --- Fig. 12 objective: exactness against the per-pair formulation ------
+//
+// The reference below is the per-pair objective as it stood before the
+// position-independent terms were hoisted into LocalizationObjective,
+// copied verbatim; the solve pipeline around it is the same localize()
+// driven by that reference. Every comparison is EXPECT_EQ on doubles: the
+// hoist may not move a single bit.
+
+double reference_localization_cost(
+    Vec3 a, std::span<const Observation> obs,
+    std::span<const std::pair<std::size_t, std::size_t>> pairs,
+    const CameraIntrinsics& cam) noexcept {
+  double cost = 0;
+  for (const auto& [i, j] : pairs) {
+    const Vec3 ri = cam.pixel_ray(obs[i].pixel);
+    const Vec3 rj = cam.pixel_ray(obs[j].pixel);
+    const double observed =
+        std::acos(std::clamp(ri.dot(rj), -1.0, 1.0));
+
+    const Vec3 di = obs[i].world_point - a;
+    const Vec3 dj = obs[j].world_point - a;
+    const double ni = di.norm();
+    const double nj = dj.norm();
+    if (ni < 1e-9 || nj < 1e-9) {
+      cost += 10.0;  // candidate sits on a landmark: strongly penalize
+      continue;
+    }
+    const double subtended =
+        std::acos(std::clamp(di.dot(dj) / (ni * nj), -1.0, 1.0));
+    const double e = observed - subtended;
+    cost += e * e;
+  }
+  return cost;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> reference_select_pairs(
+    std::size_t n, std::size_t max_pairs, Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  const std::size_t total = n * (n - 1) / 2;
+  pairs.reserve(std::min(total, max_pairs));
+  if (total <= max_pairs) {
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+    return pairs;
+  }
+  const double p = static_cast<double>(max_pairs) / static_cast<double>(total);
+  for (std::size_t i = 0; i < n && pairs.size() < max_pairs; ++i) {
+    for (std::size_t j = i + 1; j < n && pairs.size() < max_pairs; ++j) {
+      if (rng.chance(p)) pairs.emplace_back(i, j);
+    }
+  }
+  while (pairs.size() < max_pairs) {
+    const std::size_t i = rng.uniform_u64(n);
+    const std::size_t j = rng.uniform_u64(n);
+    if (i < j) pairs.emplace_back(i, j);
+  }
+  return pairs;
+}
+
+std::vector<double> reference_residuals(Vec3 a,
+                                        std::span<const Observation> obs,
+                                        const CameraIntrinsics& cam) {
+  std::vector<double> res(obs.size(), 0.0);
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    const Vec3 ri = cam.pixel_ray(obs[i].pixel);
+    const Vec3 di = obs[i].world_point - a;
+    const double ni = di.norm();
+    double sum = 0;
+    for (std::size_t j = 0; j < obs.size(); ++j) {
+      if (j == i) continue;
+      const Vec3 rj = cam.pixel_ray(obs[j].pixel);
+      const double observed = std::acos(std::clamp(ri.dot(rj), -1.0, 1.0));
+      const Vec3 dj = obs[j].world_point - a;
+      const double nj = dj.norm();
+      if (ni < 1e-9 || nj < 1e-9) {
+        sum += 1.0;
+        continue;
+      }
+      const double subtended =
+          std::acos(std::clamp(di.dot(dj) / (ni * nj), -1.0, 1.0));
+      sum += std::abs(observed - subtended);
+    }
+    res[i] = sum / static_cast<double>(obs.size() - 1);
+  }
+  return res;
+}
+
+struct ReferenceSolve {
+  Vec3 position;
+  double cost = 0;
+  std::size_t pairs = 0;
+  std::size_t generations = 0;
+};
+
+ReferenceSolve reference_solve_position(std::span<const Observation> obs,
+                                        const CameraIntrinsics& cam,
+                                        const LocalizeConfig& config,
+                                        Rng& rng) {
+  const auto pairs = reference_select_pairs(obs.size(), config.max_pairs, rng);
+  const std::array<double, 3> lo{config.search_lo.x, config.search_lo.y,
+                                 config.search_lo.z};
+  const std::array<double, 3> hi{config.search_hi.x, config.search_hi.y,
+                                 config.search_hi.z};
+  const auto objective = [&](std::span<const double> v) {
+    return reference_localization_cost({v[0], v[1], v[2]}, obs, pairs, cam);
+  };
+  const DeResult de = differential_evolution(objective, lo, hi, config.de, rng);
+  return {{de.best[0], de.best[1], de.best[2]}, de.cost, pairs.size(),
+          de.generations};
+}
+
+/// localize() with the reference objective and residuals; the degenerate
+/// checks are left out (callers pass well-spread observations).
+LocalizeResult reference_localize(std::span<const Observation> obs,
+                                  const CameraIntrinsics& cam,
+                                  const LocalizeConfig& config, Rng& rng) {
+  std::vector<Observation> working(obs.begin(), obs.end());
+  ReferenceSolve solved = reference_solve_position(working, cam, config, rng);
+  std::size_t generations = solved.generations;
+  for (std::size_t round = 0; round < config.refine_rounds; ++round) {
+    const std::size_t keep = std::max<std::size_t>(
+        4, static_cast<std::size_t>(static_cast<double>(working.size()) *
+                                    config.refine_keep));
+    if (keep >= working.size()) break;
+    const auto residuals = reference_residuals(solved.position, working, cam);
+    std::vector<std::size_t> order(working.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return residuals[a] < residuals[b];
+    });
+    std::vector<Observation> kept;
+    kept.reserve(keep);
+    for (std::size_t i = 0; i < keep; ++i) kept.push_back(working[order[i]]);
+    working = std::move(kept);
+    solved = reference_solve_position(working, cam, config, rng);
+    generations += solved.generations;
+  }
+  LocalizeResult out;
+  out.pose.translation = solved.position;
+  out.pose.rotation = recover_orientation(solved.position, working, cam);
+  out.residual = solved.cost;
+  out.pairs_used = solved.pairs;
+  out.generations = generations;
+  return out;
+}
+
+/// `n` observations with pixels anywhere in the image and world points in
+/// a 24 x 6 x 3 m room; every fifth pixel repeats an earlier one so that
+/// zero observed angles occur.
+std::vector<Observation> random_observations(std::size_t n,
+                                             const CameraIntrinsics& cam,
+                                             Rng& rng) {
+  std::vector<Observation> obs;
+  for (std::size_t k = 0; k < n; ++k) {
+    Vec2 px{rng.uniform(0.0, cam.width), rng.uniform(0.0, cam.height)};
+    if (k >= 5 && k % 5 == 0) px = obs[rng.uniform_u64(k)].pixel;
+    obs.push_back({px, {rng.uniform(0.0, 24.0), rng.uniform(0.0, 6.0),
+                        rng.uniform(0.0, 3.0)}});
+  }
+  return obs;
+}
+
+TEST(Localize, ObjectiveBitIdenticalToPerPairReference) {
+  const CameraIntrinsics cam{640, 480, 1.15};
+  Rng rng(2016);
+  std::size_t landmark_hits = 0;
+  for (const std::size_t n : {3u, 4u, 7u, 12u, 29u, 46u, 90u, 200u}) {
+    SCOPED_TRACE(n);
+    const auto obs = random_observations(n, cam, rng);
+    // Full pair set, the localize() subsample, and an unordered random
+    // draw with repeats.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> sets;
+    sets.push_back(reference_select_pairs(n, n * n, rng));
+    sets.push_back(reference_select_pairs(n, 400, rng));
+    auto& drawn = sets.emplace_back();
+    for (int k = 0; k < 300; ++k) {
+      const std::size_t i = rng.uniform_u64(n);
+      const std::size_t j = rng.uniform_u64(n);
+      if (i != j) drawn.emplace_back(i, j);
+    }
+    for (const auto& pairs : sets) {
+      const LocalizationObjective objective(obs, pairs, cam);
+      std::vector<Vec3> candidates;
+      for (int k = 0; k < 20; ++k) {  // inside the search box
+        candidates.push_back({rng.uniform(0.0, 24.0), rng.uniform(0.0, 6.0),
+                              rng.uniform(0.0, 3.0)});
+      }
+      for (int k = 0; k < 5; ++k) {  // outside it, near and far
+        candidates.push_back({rng.uniform(-500.0, -1.0),
+                              rng.uniform(7.0, 40.0),
+                              rng.uniform(-1e4, 1e4)});
+      }
+      // Exactly on a landmark that a pair uses: the +10 penalty branch.
+      candidates.push_back(obs[pairs.front().first].world_point);
+      candidates.push_back(obs[pairs.back().second].world_point);
+      for (const Vec3 a : candidates) {
+        const double want = reference_localization_cost(a, obs, pairs, cam);
+        EXPECT_EQ(objective(a), want);
+        if (want >= 10.0) ++landmark_hits;
+      }
+    }
+  }
+  EXPECT_GE(landmark_hits, 8u);  // the penalty branch really ran
+}
+
+TEST(Localize, MatchesReferenceSolveForAnyPoolSize) {
+  // Observations of a known camera plus mismatched retrievals, so the
+  // refinement round drops some. 30 observations give 435 pairs, above
+  // max_pairs, so the subsampled pair set is exercised; 10 use them all.
+  const CameraIntrinsics cam{640, 480, 1.15};
+  const Pose pose{rotation_zyx(0.4, 0.05, 0.0), {3.0, 4.0, 1.5}};
+  for (const std::size_t n : {10u, 30u}) {
+    SCOPED_TRACE(n);
+    Rng rng(40 + n);
+    std::vector<Observation> obs;
+    while (obs.size() < n) {
+      const Vec3 body{rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0),
+                      rng.uniform(2.5, 7.0)};
+      const auto px = cam.project(body);
+      if (!px) continue;
+      Vec3 world = pose.to_world(body);
+      if (obs.size() % 4 == 3) world = world + Vec3{2.0, -1.0, 0.5};
+      obs.push_back({*px, world});
+    }
+    LocalizeConfig cfg;
+    cfg.search_lo = {-10, -10, 0};
+    cfg.search_hi = {15, 15, 4};
+    cfg.de.max_generations = 25;
+    cfg.de.time_budget_sec = 100.0;  // never hit: the wall clock must not steer
+    Rng ref_rng(7);
+    const LocalizeResult want = reference_localize(obs, cam, cfg, ref_rng);
+    const std::uint64_t ref_next = ref_rng.next_u64();
+
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    pools.push_back(nullptr);
+    pools.push_back(std::make_unique<ThreadPool>(1));
+    pools.push_back(std::make_unique<ThreadPool>(4));
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(pool ? pool->thread_count() : 0);
+      LocalizeConfig c = cfg;
+      c.de.pool = pool.get();
+      Rng solver_rng(7);
+      const auto got = localize(obs, cam, c, solver_rng);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->pose.translation.x, want.pose.translation.x);
+      EXPECT_EQ(got->pose.translation.y, want.pose.translation.y);
+      EXPECT_EQ(got->pose.translation.z, want.pose.translation.z);
+      for (int r = 0; r < 3; ++r) {
+        for (int k = 0; k < 3; ++k) {
+          EXPECT_EQ(got->pose.rotation.m[r][k], want.pose.rotation.m[r][k]);
+        }
+      }
+      EXPECT_EQ(got->residual, want.residual);
+      EXPECT_EQ(got->pairs_used, want.pairs_used);
+      EXPECT_EQ(got->generations, want.generations);
+      EXPECT_FALSE(got->hit_time_bound);
+      // Same number of draws from the caller's rng as the reference.
+      EXPECT_EQ(solver_rng.next_u64(), ref_next);
+    }
+  }
+}
+
+TEST(Localize, GenerationsSumOverRefineRounds) {
+  const CameraIntrinsics cam{640, 480, 1.15};
+  Rng rng(9);
+  const auto obs = random_observations(20, cam, rng);
+  LocalizeConfig cfg;
+  cfg.search_lo = {0, 0, 0};
+  cfg.search_hi = {24, 6, 3};
+  cfg.de.max_generations = 7;
+  cfg.de.stall_generations = 100;  // run every generation
+  cfg.de.time_budget_sec = 100.0;
+  for (const std::size_t rounds : {0u, 1u, 2u}) {
+    cfg.refine_rounds = rounds;
+    Rng solver_rng(3);
+    const auto got = localize(obs, cam, cfg, solver_rng);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->generations, 7 * (rounds + 1));
+  }
 }
 
 TEST(PointGrid, FindsNearest) {
