@@ -1,6 +1,7 @@
 #include "core/map_store.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <thread>
 
@@ -18,10 +19,21 @@ namespace vp {
 LocationResponse PlaceShard::localize(const FingerprintQuery& query,
                                       Rng& rng, ThreadPool* pool,
                                       bool symmetric_adc) const {
+  return solve(query, cluster_observations(query, pool, symmetric_adc), rng,
+               pool);
+}
+
+LocationResponse PlaceShard::no_fix(const FingerprintQuery& query) const {
   LocationResponse resp;
   resp.frame_id = query.frame_id;
   resp.place = place;
   resp.place_label = config.place_label;
+  return resp;
+}
+
+std::vector<Observation> PlaceShard::cluster_observations(
+    const FingerprintQuery& query, ThreadPool* pool,
+    bool symmetric_adc) const {
   VP_OBS_COUNT("server.queries", 1);
   VP_OBS_COUNT("store.queries." + place, 1);
 
@@ -32,7 +44,7 @@ LocationResponse PlaceShard::localize(const FingerprintQuery& query,
   const bool compact = query.compact();
   if (compact && !index.pq_ready()) {
     VP_OBS_COUNT("server.compact_unrankable", 1);
-    return resp;  // found = false
+    return {};
   }
 
   // Retrieval: |K| * n candidate (pixel, 3-D point) pairs, scored as one
@@ -73,7 +85,7 @@ LocationResponse PlaceShard::localize(const FingerprintQuery& query,
     }
   }
   VP_OBS_TRACE_NOTE("server.candidates", candidates.size());
-  if (candidates.size() < 3) return resp;  // found = false
+  if (candidates.size() < 3) return {};
 
   // Largest spatial cluster; discard everything else (repetitions
   // elsewhere in the building vote into other clusters).
@@ -83,10 +95,18 @@ LocationResponse PlaceShard::localize(const FingerprintQuery& query,
     keep = largest_cluster(points, config.clustering);
   }
   VP_OBS_TRACE_NOTE("server.clustered", keep.size());
-  if (keep.size() < 3) return resp;
+  if (keep.size() < 3) return {};
   std::vector<Observation> obs;
   obs.reserve(keep.size());
   for (std::size_t i : keep) obs.push_back(candidates[i]);
+  return obs;
+}
+
+LocationResponse PlaceShard::solve(const FingerprintQuery& query,
+                                   std::span<const Observation> obs, Rng& rng,
+                                   ThreadPool* pool) const {
+  LocationResponse resp = no_fix(query);
+  if (obs.empty()) return resp;
 
   CameraIntrinsics cam;
   cam.width = query.image_width;
@@ -97,6 +117,7 @@ LocationResponse PlaceShard::localize(const FingerprintQuery& query,
   std::optional<LocalizeResult> result;
   {
     VP_OBS_SPAN("localize.solve");
+    VP_OBS_COUNT("localize.solves", 1);
     result = vp::localize(obs, cam, solve_cfg, rng);
   }
   if (!result) return resp;
@@ -484,8 +505,9 @@ LocationResponse MapStore::localize(const FingerprintQuery& query,
   }
 
   // Fan out across every shard and keep the best answer. Per-shard rng
-  // seeds are drawn sequentially up front so results are deterministic
-  // for a given caller rng regardless of pool size.
+  // seeds are drawn sequentially up front, one per shard whether or not
+  // it is solved, so results are deterministic for a given caller rng
+  // regardless of pool size.
   VP_OBS_COUNT("store.fanout_queries", 1);
   std::vector<std::shared_ptr<const PlaceShard>> shards;
   shards.reserve(map->size());
@@ -493,18 +515,57 @@ LocationResponse MapStore::localize(const FingerprintQuery& query,
   std::vector<std::uint64_t> seeds(shards.size());
   for (auto& s : seeds) s = rng.next_u64();
 
-  // Inside the fan-out each shard's own batch/solve parallelism collapses
-  // to inline execution (nested parallel_for runs on the calling worker),
-  // so per-shard results stay pool-size independent.
-  std::vector<LocationResponse> results(shards.size());
-  const auto run = [&](std::size_t i) {
-    Rng shard_rng(seeds[i]);
-    results[i] = shards[i]->localize(query, shard_rng, pool);
+  // Inside a multi-shard parallel_for each shard's own batch/solve
+  // parallelism collapses to inline execution (nested parallel_for runs
+  // on the calling worker); a lone solve runs on the caller and gets the
+  // pool's chunked DE evaluation. Either way the answer is pool-size
+  // independent.
+  const auto for_each = [pool](std::size_t n,
+                               const std::function<void(std::size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->parallel_for(n, fn);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+    }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(shards.size(), run);
-  } else {
-    for (std::size_t i = 0; i < shards.size(); ++i) run(i);
+
+  // Phase 1 everywhere: retrieval and clustering draw no randomness, and
+  // the cluster size is the matched_keypoints a fix would report.
+  std::vector<std::vector<Observation>> clusters(shards.size());
+  for_each(shards.size(), [&](std::size_t i) {
+    clusters[i] = shards[i]->cluster_observations(query, pool);
+  });
+
+  // Phase 2 on the winners only. A found shard with the largest cluster
+  // outranks every smaller one in the winner loop below, so the shards
+  // with the largest cluster are solved (all of them on a tie) and the
+  // next size down only when none of them fixes. Unsolved shards keep
+  // their no-fix answer, so every shard the winner loop could pick holds
+  // exactly what solving every shard would give it.
+  std::vector<LocationResponse> results;
+  results.reserve(shards.size());
+  for (const auto& shard : shards) results.push_back(shard->no_fix(query));
+  std::vector<std::size_t> sizes;  // distinct cluster sizes, largest first
+  for (const auto& c : clusters) {
+    if (!c.empty()) sizes.push_back(c.size());
+  }
+  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  for (const std::size_t size : sizes) {
+    std::vector<std::size_t> group;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      if (clusters[i].size() == size) group.push_back(i);
+    }
+    for_each(group.size(), [&](std::size_t k) {
+      const std::size_t i = group[k];
+      Rng shard_rng(seeds[i]);
+      results[i] = shards[i]->solve(query, clusters[i], shard_rng, pool);
+    });
+    if (std::any_of(group.begin(), group.end(),
+                    [&](std::size_t i) { return results[i].found; })) {
+      break;
+    }
+    if (size == sizes.front()) VP_OBS_COUNT("store.fanout_fallbacks", 1);
   }
 
   // Best-scoring place: a fix beats no fix; more matched keypoints beat
@@ -521,6 +582,18 @@ LocationResponse MapStore::localize(const FingerprintQuery& query,
       continue;
     }
     if (r.residual < best->residual) best = &r;
+  }
+  if (best->found) {
+    // The place margin: the winner's support against the largest cluster
+    // any other shard gathered (equal on a tie, 0 when none clustered).
+    std::size_t runner_up = 0;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      if (&results[i] != best) {
+        runner_up = std::max(runner_up, clusters[i].size());
+      }
+    }
+    VP_OBS_TRACE_NOTE("store.fanout_support", best->matched_keypoints);
+    VP_OBS_TRACE_NOTE("store.fanout_runner_up", runner_up);
   }
   return *best;
 }

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,17 +93,35 @@ struct PlaceShard {
         index(config.index),
         oracle(config.oracle) {}
 
-  /// Localize one query against this shard alone: LSH retrieval of |K|*n
-  /// candidate 3-D points, largest-cluster filtering, the Fig. 12 solve.
-  /// `pool`, when given, parallelizes the retrieval batch and the DE
-  /// objective sweep — borrowed runtime plumbing (never persisted), hence
-  /// a parameter rather than shard state. Results are identical for any
-  /// pool size. `symmetric_adc` (ORed with config.compact_symmetric)
-  /// serves compact queries through the symmetric-ADC coarse stage —
-  /// bit-identical answers, one ADC table build cheaper per descriptor.
+  /// Localize one query against this shard alone: `cluster_observations`
+  /// then `solve`. `pool`, when given, parallelizes the retrieval batch
+  /// and the DE objective sweep — borrowed runtime plumbing (never
+  /// persisted), hence a parameter rather than shard state. Results are
+  /// identical for any pool size. `symmetric_adc` (ORed with
+  /// config.compact_symmetric) serves compact queries through the
+  /// symmetric-ADC coarse stage — bit-identical answers, one ADC table
+  /// build cheaper per descriptor.
   LocationResponse localize(const FingerprintQuery& query, Rng& rng,
                             ThreadPool* pool = nullptr,
                             bool symmetric_adc = false) const;
+
+  /// Phase 1 of `localize`: LSH retrieval of |K|*n candidate 3-D points
+  /// and largest-cluster filtering. Returns the clustered observations,
+  /// or none when fewer than three survive (the shard cannot answer).
+  /// Draws no randomness, so its size — the `matched_keypoints` a fix
+  /// would report — is known before any solve.
+  std::vector<Observation> cluster_observations(
+      const FingerprintQuery& query, ThreadPool* pool = nullptr,
+      bool symmetric_adc = false) const;
+
+  /// Phase 2 of `localize`: the Fig. 12 solve over phase 1's `obs`, and
+  /// the response; `no_fix` when `obs` is empty or the solve fails.
+  LocationResponse solve(const FingerprintQuery& query,
+                         std::span<const Observation> obs, Rng& rng,
+                         ThreadPool* pool = nullptr) const;
+
+  /// This shard's structured no-fix answer: frame id, place and label.
+  LocationResponse no_fix(const FingerprintQuery& query) const;
 
   /// Scene votes for a feature set (retrieval experiments): vote[s] =
   /// query features whose accepted nearest neighbor belongs to scene s.
@@ -199,8 +218,12 @@ class MapStore {
   /// faulting it in if registered but cold (unknown place → structured
   /// no-fix response, never a throw); an empty place fans out across the
   /// *resident* shards — on the borrowed pool when configured — and
-  /// returns the best-scoring place's answer. Cold shards never join the
-  /// fan-out: one anonymous query must not page the whole tier in.
+  /// returns the best-scoring place's answer. The fan-out retrieves and
+  /// clusters on every shard but solves only the shards whose cluster is
+  /// the largest (stepping down a size when none of them fixes), which
+  /// answers bit-identically to solving every shard (DESIGN.md §9
+  /// "Routing and fan-out"). Cold shards never join the fan-out: one
+  /// anonymous query must not page the whole tier in.
   LocationResponse localize(const FingerprintQuery& query, Rng& rng) const;
 
   /// Epoch'd oracle snapshot for client download. Empty `place` means the

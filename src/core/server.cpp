@@ -136,7 +136,7 @@ Bytes VisualPrintServer::handle_query(std::span<const std::uint8_t> body,
   runtime_->queries_seen.fetch_add(1, std::memory_order_relaxed);
   // Admission first, before any decode work: a shed query must cost the
   // server almost nothing, or shedding would not shield the admitted ones.
-  const AdmissionTicket ticket(&runtime_->admission);
+  const AdmissionTicket ticket(runtime_->admission);
   if (!ticket.admitted()) {
     VP_OBS_COUNT("server.shed", 1);
     ErrorResponse err;

@@ -434,6 +434,29 @@ LazyDb parse_lazy_db(const std::shared_ptr<const MappedFile>& mapping) {
   return db;
 }
 
+/// Install every parsed shard in `store`: builder and published snapshot
+/// set to the saved state, epochs kept.
+void restore_all(MapStore& store, ParsedDb& db) {
+  for (auto& shard : db.shards) store.restore_shard(std::move(shard));
+}
+
+/// A server holding exactly the parsed shards. Its default config mirrors
+/// the default place's shard config, so the default place id
+/// (config.place_label) matches what was saved.
+VisualPrintServer restore_server(ParsedDb db, std::size_t resident_budget) {
+  ServerConfig cfg;
+  cfg.place_label = db.default_place;
+  for (const auto& shard : db.shards) {
+    if (shard->place == db.default_place) cfg = shard->config;
+  }
+  VisualPrintServer server(std::move(cfg));
+  if (resident_budget != 0) {
+    server.store().set_resident_budget(resident_budget);
+  }
+  restore_all(server.store(), db);
+  return server;
+}
+
 }  // namespace
 
 Bytes VisualPrintServer::serialize() const {
@@ -448,19 +471,7 @@ VisualPrintServer VisualPrintServer::deserialize(
     std::span<const std::uint8_t> data) {
   // No keepalive: the caller's span may die after this call, so bulk
   // segments are copied into owned storage.
-  ParsedDb db = parse_db(data, nullptr);
-  // The server's default config mirrors the default shard's, so the
-  // default place id (config.place_label) matches what was saved.
-  ServerConfig cfg;
-  cfg.place_label = db.default_place;
-  for (const auto& shard : db.shards) {
-    if (shard->place == db.default_place) cfg = shard->config;
-  }
-  VisualPrintServer server(std::move(cfg));
-  for (auto& shard : db.shards) {
-    server.store_->restore_shard(std::move(shard));
-  }
-  return server;
+  return restore_server(parse_db(data, nullptr), 0);
 }
 
 void VisualPrintServer::save(const std::string& path) const {
@@ -492,18 +503,8 @@ VisualPrintServer VisualPrintServer::load(const std::string& path,
   }
   // Eager: shards borrow their bulk segments straight out of the mapping
   // (which the shards keep alive).
-  ParsedDb db = parse_db(mapping->bytes(), mapping);
-  ServerConfig cfg;
-  cfg.place_label = db.default_place;
-  for (const auto& shard : db.shards) {
-    if (shard->place == db.default_place) cfg = shard->config;
-  }
-  VisualPrintServer server(std::move(cfg));
-  server.store_->set_resident_budget(opts.resident_budget);
-  for (auto& shard : db.shards) {
-    server.store_->restore_shard(std::move(shard));
-  }
-  return server;
+  return restore_server(parse_db(mapping->bytes(), mapping),
+                        opts.resident_budget);
 }
 
 void VisualPrintServer::load_shards(const std::string& path,
@@ -520,9 +521,7 @@ void VisualPrintServer::load_shards(const std::string& path,
     return;
   }
   ParsedDb db = parse_db(mapping->bytes(), mapping);
-  for (auto& shard : db.shards) {
-    store_->restore_shard(std::move(shard));
-  }
+  restore_all(*store_, db);
 }
 
 }  // namespace vp

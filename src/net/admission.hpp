@@ -72,15 +72,14 @@ class AdmissionGate {
   std::atomic<std::uint64_t> shed_{0};
 };
 
-/// RAII admission: enters the gate on construction, exits on destruction.
-/// A null gate admits unconditionally.
+/// RAII admission: enters the gate on construction and, when admitted,
+/// exits it on destruction.
 class AdmissionTicket {
  public:
-  explicit AdmissionTicket(AdmissionGate* gate) noexcept
-      : gate_(gate != nullptr && gate->try_enter() ? gate : nullptr),
-        admitted_(gate == nullptr || gate_ != nullptr) {}
+  explicit AdmissionTicket(AdmissionGate& gate) noexcept
+      : gate_(gate), admitted_(gate.try_enter()) {}
   ~AdmissionTicket() {
-    if (gate_ != nullptr) gate_->exit();
+    if (admitted_) gate_.exit();
   }
   AdmissionTicket(const AdmissionTicket&) = delete;
   AdmissionTicket& operator=(const AdmissionTicket&) = delete;
@@ -88,8 +87,8 @@ class AdmissionTicket {
   bool admitted() const noexcept { return admitted_; }
 
  private:
-  AdmissionGate* gate_;  ///< non-null only when this ticket holds a slot
-  bool admitted_;
+  AdmissionGate& gate_;
+  bool admitted_;  ///< this ticket holds a slot
 };
 
 }  // namespace vp

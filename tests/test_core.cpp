@@ -12,6 +12,7 @@
 #include "core/server.hpp"
 #include "core/session.hpp"
 #include "imaging/codec.hpp"
+#include "obs/metrics.hpp"
 #include "scene/texture.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -506,6 +507,245 @@ TEST(MapStore, FanoutDeterministicAcrossPoolSizes) {
   EXPECT_DOUBLE_EQ(serial.position.z, parallel.position.z);
   EXPECT_DOUBLE_EQ(serial.residual, parallel.residual);
 }
+
+// --- Fan-out solves only the largest clusters ------------------------------
+
+/// The all-solve fan-out MapStore::localize ran before it solved only the
+/// shards with the largest cluster, kept verbatim (shard list from
+/// snapshots(), which is the store's place-name order) as the reference
+/// its answers must equal bit for bit.
+LocationResponse all_solve_fanout(const MapStore& store,
+                                  const FingerprintQuery& query, Rng& rng,
+                                  ThreadPool* pool) {
+  const auto shards = store.snapshots();
+  std::vector<std::uint64_t> seeds(shards.size());
+  for (auto& s : seeds) s = rng.next_u64();
+
+  // Inside the fan-out each shard's own batch/solve parallelism collapses
+  // to inline execution (nested parallel_for runs on the calling worker),
+  // so per-shard results stay pool-size independent.
+  std::vector<LocationResponse> results(shards.size());
+  const auto run = [&](std::size_t i) {
+    Rng shard_rng(seeds[i]);
+    results[i] = shards[i]->localize(query, shard_rng, pool);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(shards.size(), run);
+  } else {
+    for (std::size_t i = 0; i < shards.size(); ++i) run(i);
+  }
+
+  // Best-scoring place: a fix beats no fix; more matched keypoints beat
+  // fewer; equal support ties break toward the smaller solver residual.
+  const LocationResponse* best = &results[0];
+  for (const auto& r : results) {
+    if (r.found != best->found) {
+      if (r.found) best = &r;
+      continue;
+    }
+    if (!r.found) continue;
+    if (r.matched_keypoints != best->matched_keypoints) {
+      if (r.matched_keypoints > best->matched_keypoints) best = &r;
+      continue;
+    }
+    if (r.residual < best->residual) best = &r;
+  }
+  return *best;
+}
+
+void expect_same_answer(const LocationResponse& got,
+                        const LocationResponse& want) {
+  EXPECT_EQ(got.frame_id, want.frame_id);
+  EXPECT_EQ(got.found, want.found);
+  EXPECT_EQ(got.place, want.place);
+  EXPECT_EQ(got.place_label, want.place_label);
+  EXPECT_EQ(got.position.x, want.position.x);
+  EXPECT_EQ(got.position.y, want.position.y);
+  EXPECT_EQ(got.position.z, want.position.z);
+  EXPECT_EQ(got.yaw, want.yaw);
+  EXPECT_EQ(got.pitch, want.pitch);
+  EXPECT_EQ(got.roll, want.roll);
+  EXPECT_EQ(got.residual, want.residual);
+  EXPECT_EQ(got.matched_keypoints, want.matched_keypoints);
+}
+
+/// A store of the given places only (no default shard), each labelled
+/// "<place> label".
+std::unique_ptr<MapStore> fanout_store(
+    const std::vector<std::pair<std::string, std::vector<KeypointMapping>>>&
+        places) {
+  const ServerConfig cfg = localizing_server();
+  auto store = std::make_unique<MapStore>(cfg, /*eager_default_builder=*/false);
+  for (const auto& [place, mappings] : places) {
+    ServerConfig place_cfg = cfg;
+    place_cfg.place_label = place + " label";
+    store->ingest_wardrive(place, mappings, &place_cfg);
+  }
+  return store;
+}
+
+/// Answers the unplaced `query` with no pool and with pools of 1 and 4
+/// workers, each time against the all-solve reference run on the same
+/// pool and caller seed; returns the no-pool answer.
+LocationResponse expect_fanout_matches_reference(MapStore& store,
+                                                 const FingerprintQuery& query,
+                                                 std::uint64_t seed) {
+  ThreadPool one(1), four(4);
+  LocationResponse first;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    SCOPED_TRACE(pool == nullptr ? 0 : pool->thread_count());
+    store.set_pool(pool);
+    Rng rng(seed), ref_rng(seed);
+    const LocationResponse got = store.localize(query, rng);
+    expect_same_answer(got, all_solve_fanout(store, query, ref_rng, pool));
+    // Both drew one seed per shard from the caller's rng.
+    EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+    if (pool == nullptr) first = got;
+  }
+  store.set_pool(nullptr);
+  return first;
+}
+
+#if VP_OBS_ENABLED
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+#endif
+
+TEST(MapStoreFanout, MatchesAllSolveReferenceOnRandomStores) {
+  std::size_t found = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 7919);
+    const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_u64(3));
+    std::vector<std::pair<std::string, std::vector<KeypointMapping>>> places;
+    FingerprintQuery query;
+    query.frame_id = static_cast<std::uint32_t>(seed);
+    for (std::size_t j = 0; j < n; ++j) {
+      const PlaceFixture fx = make_place_fixture(
+          rng, {rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(1, 2)});
+      places.emplace_back("venue-" + std::to_string(j), fx.mappings);
+      // A random share of each venue's features, so cluster sizes differ
+      // from shard to shard (and from case to case).
+      const std::size_t k = static_cast<std::size_t>(
+          rng.uniform_u64(fx.query.features.size() + 1));
+      query.image_width = fx.query.image_width;
+      query.image_height = fx.query.image_height;
+      query.fov_h = fx.query.fov_h;
+      query.features.insert(query.features.end(), fx.query.features.begin(),
+                            fx.query.features.begin() +
+                                static_cast<std::ptrdiff_t>(k));
+    }
+    const auto store = fanout_store(places);
+    found += expect_fanout_matches_reference(*store, query, seed).found;
+  }
+  EXPECT_GE(found, 4u);  // the cases exercise fixes, not just misses
+}
+
+TEST(MapStoreFanout, TiedClusterSizesSolveEveryTiedShard) {
+  Rng rng(51);
+  const PlaceFixture fx = make_place_fixture(rng, {1, -2, 1.4});
+  const PlaceFixture other = make_place_fixture(rng, {-6, 5, 1.1});
+  // Two venues holding the same landmarks gather clusters of one size.
+  const auto store = fanout_store({{"twin-a", fx.mappings},
+                                   {"twin-b", fx.mappings},
+                                   {"other", other.mappings}});
+  FingerprintQuery query = fx.query;
+  query.features.insert(query.features.end(), other.query.features.begin(),
+                        other.query.features.begin() + 5);
+  const LocationResponse r = expect_fanout_matches_reference(*store, query, 52);
+  ASSERT_TRUE(r.found);
+  EXPECT_TRUE(r.place == "twin-a" || r.place == "twin-b") << r.place;
+#if VP_OBS_ENABLED
+  const std::uint64_t solves0 = counter_value("localize.solves");
+  Rng again(52);
+  (void)store->localize(query, again);
+  EXPECT_EQ(counter_value("localize.solves") - solves0, 2u);
+#endif
+}
+
+TEST(MapStoreFanout, DegenerateLargestClusterFallsBackToNextSize) {
+  Rng rng(53);
+  const PlaceFixture fx = make_place_fixture(rng, {3, 1, 1.6});
+  // Every landmark of the degenerate venue sits on one point: its cluster
+  // is the largest, but the solver rejects it (no spread), so the next
+  // size down has to answer.
+  std::vector<KeypointMapping> coincident;
+  FingerprintQuery query = fx.query;
+  for (std::size_t i = 0; i < fx.query.features.size() + 10; ++i) {
+    const Feature f = make_feature(rng);
+    coincident.push_back({f, {1, 1, 1}, 0});
+    query.features.push_back(f);
+  }
+  const auto store =
+      fanout_store({{"degenerate", coincident}, {"real", fx.mappings}});
+  const LocationResponse r = expect_fanout_matches_reference(*store, query, 54);
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.place, "real");
+  EXPECT_EQ(r.matched_keypoints, fx.query.features.size());
+  EXPECT_LT(r.position.distance(fx.true_position), 0.5);
+#if VP_OBS_ENABLED
+  const std::uint64_t solves0 = counter_value("localize.solves");
+  const std::uint64_t fallbacks0 = counter_value("store.fanout_fallbacks");
+  Rng again(54);
+  (void)store->localize(query, again);
+  EXPECT_EQ(counter_value("localize.solves") - solves0, 2u);
+  EXPECT_EQ(counter_value("store.fanout_fallbacks") - fallbacks0, 1u);
+#endif
+}
+
+TEST(MapStoreFanout, AllMissAnswersFirstShardsNoFix) {
+  Rng rng(55);
+  const auto store =
+      fanout_store({{"east", random_mappings(rng, 12, {0, 0, 0})},
+                    {"north", random_mappings(rng, 12, {4, 0, 0})},
+                    {"west", random_mappings(rng, 12, {8, 0, 0})}});
+  FingerprintQuery query;
+  query.frame_id = 9;
+  for (int i = 0; i < 10; ++i) query.features.push_back(make_feature(rng));
+  const LocationResponse r = expect_fanout_matches_reference(*store, query, 56);
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(r.frame_id, 9u);
+  EXPECT_EQ(r.place, "east");
+  EXPECT_EQ(r.place_label, "east label");
+#if VP_OBS_ENABLED
+  const std::uint64_t solves0 = counter_value("localize.solves");
+  Rng again(56);
+  (void)store->localize(query, again);
+  EXPECT_EQ(counter_value("localize.solves"), solves0);
+#endif
+}
+
+#if VP_OBS_ENABLED
+TEST(MapStoreFanout, UntiedFanoutSolvesOnceButRetrievesEverywhere) {
+  Rng rng(57);
+  const PlaceFixture a = make_place_fixture(rng, {2, 3, 1.5});
+  const PlaceFixture b = make_place_fixture(rng, {-5, -4, 1.2});
+  const auto store =
+      fanout_store({{"wing-a", a.mappings},
+                    {"wing-b", b.mappings},
+                    {"wing-c", random_mappings(rng, 12, {9, 9, 0})}});
+  FingerprintQuery query = a.query;
+  query.features.insert(query.features.end(), b.query.features.begin(),
+                        b.query.features.begin() + 6);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    store->set_pool(pool);
+    const std::uint64_t solves0 = counter_value("localize.solves");
+    const std::uint64_t queries0 = counter_value("server.queries");
+    const std::uint64_t fallbacks0 = counter_value("store.fanout_fallbacks");
+    Rng qrng(58);
+    const LocationResponse r = store->localize(query, qrng);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.place, "wing-a");
+    EXPECT_EQ(counter_value("localize.solves") - solves0, 1u);
+    // server.queries still counts every shard that retrieves.
+    EXPECT_EQ(counter_value("server.queries") - queries0, 3u);
+    EXPECT_EQ(counter_value("store.fanout_fallbacks"), fallbacks0);
+  }
+  store->set_pool(nullptr);
+}
+#endif
 
 TEST(MapStore, EmptyAndUnknownPlacesAnswerStructuredMiss) {
   VisualPrintServer server(small_server());

@@ -45,15 +45,18 @@ TEST(Admission, GateAdmitsUpToCapAndCountsEveryOutcome) {
   EXPECT_DOUBLE_EQ(gate.shed_rate(), 2.0 / 5.0);
 }
 
-TEST(Admission, ZeroCapAdmitsEverythingAndNullGateTicketsAdmit) {
+TEST(Admission, ZeroCapAdmitsEverything) {
   AdmissionGate unlimited(0);
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(unlimited.try_enter());
   EXPECT_EQ(unlimited.admitted(), 100u);
   EXPECT_EQ(unlimited.shed(), 0u);
   for (int i = 0; i < 100; ++i) unlimited.exit();
-
-  const AdmissionTicket ticket(nullptr);  // ungated server path
-  EXPECT_TRUE(ticket.admitted());
+  {
+    const AdmissionTicket ticket(unlimited);
+    EXPECT_TRUE(ticket.admitted());
+    EXPECT_EQ(unlimited.inflight(), 1u);
+  }
+  EXPECT_EQ(unlimited.inflight(), 0u);  // the ticket released its slot
 }
 
 // The §13 property test: seeded concurrent bursts against one gate. Every
